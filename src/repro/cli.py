@@ -905,15 +905,19 @@ def _serve_procs(args, records, corrupt: int) -> int:
                 f"dropped={telemetry['dropped_total']:.0f}"
             )
     finally:
-        if old_handler is not None:
-            signal.signal(signal.SIGTERM, old_handler)
         if old_usr1 is not None:
             signal.signal(signal.SIGUSR1, old_usr1)
+        # the run is over: a late SIGTERM now only sets a flag, and the
+        # handler stays until the artifacts are on disk -- restoring the
+        # default action first let such a signal kill the flush
+        sigterm_state["supervisor"] = None
         if stats_stop is not None:
             stats_stop.set()
         if supervisor is not None:
             supervisor.close(wait=False)
         _write_obs_procs(args, tracer, worklog, supervisor)
+        if old_handler is not None:
+            signal.signal(signal.SIGTERM, old_handler)
     if not report.results:
         print("error: no statement records in "
               f"{args.worklog_file}", file=sys.stderr)

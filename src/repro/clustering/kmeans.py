@@ -41,14 +41,36 @@ class KMeansResult:
         return np.bincount(self.labels, minlength=self.k)
 
 
-def _pairwise_sq_dists(X: np.ndarray, C: np.ndarray) -> np.ndarray:
+def _sq_norms(X: np.ndarray) -> np.ndarray:
+    """(n, 1) squared row norms ``|x|^2``; computed once per fit."""
+    return np.einsum("ij,ij->i", X, X)[:, None]
+
+
+def _pairwise_sq_dists(
+    X: np.ndarray, C: np.ndarray, x2: np.ndarray
+) -> np.ndarray:
     """(n, k) squared Euclidean distances via |x|^2 - 2xC' + |c|^2."""
     work.add("work.cluster.distance_evals", X.shape[0] * C.shape[0])
-    x2 = np.einsum("ij,ij->i", X, X)[:, None]
-    c2 = np.einsum("ij,ij->i", C, C)[None, :]
+    c2 = _sq_norms(C).T
     d = x2 - 2.0 * (X @ C.T) + c2
     np.maximum(d, 0.0, out=d)
     return d
+
+
+def _cluster_sums(X: np.ndarray, labels: np.ndarray, k: int) -> np.ndarray:
+    """(k, d) per-cluster row sums, each accumulated in row order.
+
+    Per column, ``bincount`` adds the rows into their clusters one
+    after another -- the same float additions, in the same order, as
+    ``np.add.at(sums, labels, X)``, so the centroids are bit-identical
+    to it.  A masked ``X[labels == j].sum(axis=0)`` is not: with one
+    column the reduced axis is the contiguous one and numpy sums it
+    pairwise.  Nothing of size n x d is allocated.
+    """
+    sums = np.empty((k, X.shape[1]))
+    for c in range(X.shape[1]):
+        sums[:, c] = np.bincount(labels, weights=X[:, c], minlength=k)
+    return sums
 
 
 class KMeans:
@@ -83,7 +105,7 @@ class KMeans:
     # -- seeding ---------------------------------------------------------
 
     def _init_centers(
-        self, X: np.ndarray, rng: np.random.Generator
+        self, X: np.ndarray, x2: np.ndarray, rng: np.random.Generator
     ) -> np.ndarray:
         """k-means++: spread seeds proportionally to squared distance."""
         n = X.shape[0]
@@ -91,7 +113,7 @@ class KMeans:
         centers = np.empty((k, X.shape[1]))
         first = int(rng.integers(n))
         centers[0] = X[first]
-        closest = _pairwise_sq_dists(X, centers[:1]).ravel()
+        closest = _pairwise_sq_dists(X, centers[:1], x2).ravel()
         for j in range(1, k):
             total = closest.sum()
             if total <= 0:
@@ -102,7 +124,7 @@ class KMeans:
             idx = int(rng.choice(n, p=probs))
             centers[j] = X[idx]
             closest = np.minimum(
-                closest, _pairwise_sq_dists(X, centers[j:j + 1]).ravel()
+                closest, _pairwise_sq_dists(X, centers[j:j + 1], x2).ravel()
             )
         return centers
 
@@ -143,7 +165,8 @@ class KMeans:
         tracer = tracer or NULL_TRACER
 
         with tracer.span("kmeans", n=n, d=int(X.shape[1]), k=k) as span:
-            centers = self._init_centers(X, rng)
+            x2 = _sq_norms(X)
+            centers = self._init_centers(X, x2, rng)
             labels = np.zeros(n, dtype=np.int32)
             prev_inertia = np.inf
             converged = False
@@ -153,14 +176,13 @@ class KMeans:
                     checkpoint()
                 span.inc("iterations")
                 work.add("work.cluster.iterations")
-                dists = _pairwise_sq_dists(X, centers)
+                dists = _pairwise_sq_dists(X, centers, x2)
                 labels = dists.argmin(axis=1).astype(np.int32)
                 inertia = float(dists[np.arange(n), labels].sum())
 
                 # recompute centroids; reseed empties to farthest points
                 counts = np.bincount(labels, minlength=k).astype(np.float64)
-                sums = np.zeros_like(centers)
-                np.add.at(sums, labels, X)
+                sums = _cluster_sums(X, labels, k)
                 empty = counts == 0
                 if empty.any():
                     span.inc("reseeds", int(empty.sum()))
@@ -182,7 +204,7 @@ class KMeans:
                 prev_inertia = inertia
 
             # final assignment against the final centers
-            dists = _pairwise_sq_dists(X, centers)
+            dists = _pairwise_sq_dists(X, centers, x2)
             labels = dists.argmin(axis=1).astype(np.int32)
             inertia = float(dists[np.arange(n), labels].sum())
             span.set_attr("converged", converged)

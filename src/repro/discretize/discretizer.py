@@ -206,11 +206,9 @@ class Discretizer:
             if attr.is_categorical:
                 # keep only codes that occur; re-map to a dense domain so
                 # the view's domain reflects the current result set
-                occurring = sorted(set(int(c) for c in col.codes if c >= 0))
-                remap = np.full(len(col.categories) + 1, -1, dtype=np.int32)
-                for new, old in enumerate(occurring):
-                    remap[old] = new
-                codes[name] = remap[col.codes]
+                codes[name], occurring = _dense_codes(
+                    col.codes, len(col.categories)
+                )
                 labels[name] = tuple(col.categories[o] for o in occurring)
                 continue
 
@@ -236,6 +234,23 @@ class Discretizer:
             bins[name] = tuple(blist)
 
         return DiscretizedView(table, codes, labels, bins)
+
+
+def _dense_codes(
+    codes: np.ndarray, ncategories: int
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Re-map ``codes`` onto the dense domain of the codes that occur.
+
+    Returns ``(remapped, occurring)``: ``occurring`` holds the distinct
+    non-missing codes in ascending order, and each code maps to its
+    position there.  Missing (``-1``) stays ``-1``.
+    """
+    counts = np.bincount(codes[codes >= 0], minlength=ncategories)
+    occurring = np.flatnonzero(counts)
+    # one spare slot: missing (-1) indexes it and stays -1
+    remap = np.full(ncategories + 1, -1, dtype=np.int32)
+    remap[occurring] = np.arange(len(occurring), dtype=np.int32)
+    return remap[codes], occurring
 
 
 def _ordinal_pair_bins(distinct: np.ndarray) -> List[Bin]:

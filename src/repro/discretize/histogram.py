@@ -109,8 +109,7 @@ def v_optimal_bins(
         edges = np.linspace(uniq[0], uniq[-1], max_distinct + 1)
         idx = np.clip(np.searchsorted(edges, uniq, side="right") - 1,
                       0, max_distinct - 1)
-        agg_counts = np.zeros(max_distinct)
-        np.add.at(agg_counts, idx, counts)
+        agg_counts = np.bincount(idx, weights=counts, minlength=max_distinct)
         # zero-count micro-buckets stay: empty value ranges are exactly
         # what V-optimal boundaries should snap to
         lo_edges = edges[:-1]

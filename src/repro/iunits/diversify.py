@@ -22,7 +22,7 @@ import numpy as np
 from repro.errors import CADViewError
 from repro.iunits.iunit import IUnit
 from repro.iunits.ranking import PreferenceFunction, SizePreference
-from repro.iunits.similarity import iunit_similarity
+from repro.iunits.similarity import similarity_matrix
 from repro.obs import work
 from repro.obs.tracer import NULL_TRACER, Tracer
 
@@ -37,14 +37,14 @@ __all__ = [
 def similarity_graph(
     iunits: Sequence[IUnit], tau: float
 ) -> np.ndarray:
-    """Boolean adjacency matrix: entry (i, j) True iff sim(i, j) >= tau."""
-    n = len(iunits)
-    adj = np.zeros((n, n), dtype=bool)
-    for i in range(n):
-        for j in range(i + 1, n):
-            if iunit_similarity(iunits[i], iunits[j]) >= tau:
-                adj[i, j] = adj[j, i] = True
-    return adj
+    """Boolean adjacency matrix: entry (i, j) True iff sim(i, j) >= tau.
+
+    The similarities come from :func:`similarity_matrix`; only pairs
+    ``i < j`` are compared, and the result is mirrored, so the graph is
+    symmetric with an empty diagonal.
+    """
+    upper = np.triu(similarity_matrix(iunits) >= tau, k=1)
+    return upper | upper.T
 
 
 def _check(scores: Sequence[float], adjacency: np.ndarray, k: int) -> np.ndarray:

@@ -391,7 +391,7 @@ class Analyzer:
     ) -> None:
         for leaf in self._leaves(pred):
             self._check_leaf(leaf, table, report)
-        self._check_logic(pred, report, negated=False)
+        self._check_logic(pred, report, whole_and=True, whole_or=True)
 
     @staticmethod
     def _leaves(pred: Predicate) -> List[Predicate]:
@@ -478,30 +478,36 @@ class Analyzer:
     # -- predicate logic: contradictions / tautologies --------------------
 
     def _check_logic(
-        self, pred: Predicate, report: AnalysisReport, negated: bool
+        self,
+        pred: Predicate,
+        report: AnalysisReport,
+        whole_and: bool,
+        whole_or: bool,
     ) -> None:
         """Recursive contradiction/tautology scan.
 
-        Constraint propagation is only attempted on And/Or nodes in
-        positive position; anything under a NOT is recursed for its own
-        sub-structure but not folded into parent constraints.
+        An empty And empties the whole WHERE only when every node above
+        it is an And (``whole_and``); an always-true Or makes the whole
+        WHERE true only when every node above it is an Or (``whole_or``).
+        Anything under a NOT or the other connective is recursed for its
+        own sub-structure but never reported as the WHERE's outcome.
         """
         if isinstance(pred, Not):
-            self._check_logic(pred.child, report, negated=True)
+            self._check_logic(pred.child, report, False, False)
             return
         if isinstance(pred, And):
             self._dup_check(pred.children, "conjunct", report)
-            if not negated:
+            if whole_and:
                 self._contradiction_check(pred, report)
             for child in pred.children:
-                self._check_logic(child, report, negated)
+                self._check_logic(child, report, whole_and, False)
             return
         if isinstance(pred, Or):
             self._dup_check(pred.children, "disjunct", report)
-            if not negated:
+            if whole_or:
                 self._tautology_check(pred, report)
             for child in pred.children:
-                self._check_logic(child, report, negated)
+                self._check_logic(child, report, False, whole_or)
 
     def _dup_check(
         self,

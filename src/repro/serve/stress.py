@@ -525,7 +525,9 @@ def _result_payload(result: Optional[object]) -> object:
         return {
             "rows": len(result),
             "attributes": [a.name for a in result.schema],
-            "data": [list(map(str, row)) for row in result.iter_rows()],
+            "data": [
+                list(map(str, row.values())) for row in result.iter_rows()
+            ],
         }
     if isinstance(result, list):
         return [str(item) for item in result]

@@ -190,6 +190,22 @@ class TestPredicateLogic:
         )
         assert "QA301" not in report.codes()
 
+    def test_empty_disjunct_is_not_an_empty_where(self, dbx):
+        # one disjunct can never match, but the other still can
+        sql = ("SELECT * FROM Hotels "
+               "WHERE city = Paris OR (city = Paris AND city = Lyon)")
+        report = report_of(dbx, sql)
+        assert "QA301" not in report.codes()
+        assert len(dbx.execute(sql)) > 0
+
+    def test_always_true_conjunct_is_not_an_always_true_where(self, dbx):
+        report = report_of(
+            dbx,
+            "SELECT * FROM Hotels "
+            "WHERE stars > 3 AND (price < 5 OR price >= 5)",
+        )
+        assert "QA302" not in report.codes()
+
 
 # -- CADVIEW rules (QA4xx) ------------------------------------------------
 

@@ -228,6 +228,33 @@ class TestSigtermGracefulDrain:
                     record["status"] in ("ok", "degraded"):
                 assert "proc" in record
 
+    def test_sigterm_after_the_run_still_flushes_and_exits_zero(
+        self, tmp_path
+    ):
+        """A SIGTERM that lands once the run has printed its report —
+        during the artifact flush or interpreter exit — is ignored: the
+        metrics snapshot still lands and the exit code stays 0."""
+        workload = _workload(tmp_path, sqls=SQLS[:1])
+        metrics = tmp_path / "metrics.json"
+        env = dict(os.environ)
+        env["PYTHONPATH"] = str(REPO / "src")
+        proc = subprocess.Popen(
+            [
+                sys.executable, "-u", "-m", "repro", "serve", workload,
+                "--stress", "--procs", "1", "--metrics", str(metrics),
+            ],
+            cwd=str(REPO), env=env,
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        )
+        # the telemetry line is the last one printed before teardown
+        for line in proc.stdout:
+            if line.startswith(b"telemetry:"):
+                proc.send_signal(signal.SIGTERM)
+                break
+        stdout, stderr = proc.communicate(timeout=120)
+        assert proc.returncode == 0, (stdout, stderr)
+        assert "counters" in json.loads(metrics.read_text())
+
 
 class TestTelemetryCLI:
     @pytest.fixture(autouse=True)

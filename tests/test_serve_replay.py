@@ -19,7 +19,7 @@ from repro.dataset.generators import generate_usedcars
 from repro.obs.worklog import NO_WORKLOG, read_worklog
 from repro.robustness import FaultInjector
 from repro.serve import replay_concurrent, statement_scopes
-from repro.serve.stress import ALL_VIEWS
+from repro.serve.stress import ALL_VIEWS, result_payload
 
 EXAMPLE_LOG = (
     Path(__file__).parent.parent
@@ -138,3 +138,19 @@ class TestConcurrentReplayDeterminism:
         assert "concurrent replay" in text
         for res in report.results:
             assert res.digest in text
+
+
+class TestResultPayload:
+    def test_table_rows_hash_their_values(self, cars):
+        # same columns, different rows: the payloads must differ
+        first = result_payload(cars.take([0, 1]))
+        other = result_payload(cars.take([5, 9]))
+        assert first["attributes"] == other["attributes"]
+        assert first != other
+
+    def test_table_row_lists_values_in_column_order(self, cars):
+        payload = result_payload(cars.take([3]))
+        row = cars.row(3)
+        assert payload["data"] == [
+            [str(row[name]) for name in payload["attributes"]]
+        ]
