@@ -223,21 +223,15 @@ def _write_obs_procs(args, tracer, worklog, supervisor) -> None:
     multi-process Chrome trace and ``--metrics`` the cluster-wide
     registry (supervisor + every worker incarnation + drop counters).
     """
+    if supervisor is None:
+        _write_obs(args, tracer, worklog)
+        return
     if getattr(args, "trace", None) and tracer is not None:
-        root = tracer.finish()
-        if supervisor is not None:
-            write_stitched_chrome_trace(
-                args.trace, root, supervisor.telemetry.span_trees()
-            )
-        else:
-            write_chrome_trace(root, args.trace)
+        write_stitched_chrome_trace(
+            args.trace, tracer.finish(), supervisor.telemetry.span_trees()
+        )
     if getattr(args, "metrics", None):
-        if supervisor is not None:
-            write_metrics(
-                supervisor.telemetry.cluster_registry(), args.metrics
-            )
-        else:
-            write_metrics(registry(), args.metrics)
+        write_metrics(supervisor.telemetry.cluster_registry(), args.metrics)
     if worklog is not None:
         worklog.close()
 
@@ -270,6 +264,18 @@ def _check_slos(
     return "SLO check failed"
 
 
+def _budget(args) -> Optional[Budget]:
+    """The explorer-level budget of ``--budget-ms`` / ``--max-rows``."""
+    if args.budget_ms is None and args.max_rows is None:
+        return None
+    return Budget(
+        deadline_s=(
+            args.budget_ms / 1e3 if args.budget_ms is not None else None
+        ),
+        max_rows=args.max_rows,
+    )
+
+
 def _explorer(
     args,
     tracer: Optional[Tracer] = None,
@@ -277,15 +283,7 @@ def _explorer(
 ) -> DBExplorer:
     """A DBExplorer configured from the common CLI flags."""
     try:
-        budget = None
-        if args.budget_ms is not None or args.max_rows is not None:
-            budget = Budget(
-                deadline_s=(
-                    args.budget_ms / 1e3
-                    if args.budget_ms is not None else None
-                ),
-                max_rows=args.max_rows,
-            )
+        budget = _budget(args)
         faults = (
             FaultInjector.parse(args.faults)
             if args.faults is not None else None
@@ -593,7 +591,6 @@ def cmd_serve(args) -> int:
     within the backoff bounds, and — with ``--verify-sequential`` —
     digests byte-identical to an in-process sequential replay.
     """
-    from repro.robustness import Budget
     from repro.serve import BreakerConfig, ServeConfig, replay_concurrent
 
     if not args.stress:
@@ -632,9 +629,6 @@ def cmd_serve(args) -> int:
             breaker=BreakerConfig(
                 trip_after=args.trip_after,
                 cooldown_s=args.cooldown_ms / 1e3,
-            ),
-            open_budget=Budget(
-                deadline_s=0.25, max_rows=2000, retries=0
             ),
         )
     except ValueError as exc:
@@ -709,8 +703,8 @@ def _serve_procs(args, records, corrupt: int) -> int:
     contract the chaos tests pin down.
     """
     import signal
+    from dataclasses import replace
 
-    from repro.robustness import Budget
     from repro.serve import BreakerConfig, replay_concurrent
     from repro.serve.proc import (
         ProcServeConfig,
@@ -738,63 +732,45 @@ def _serve_procs(args, records, corrupt: int) -> int:
         # combined spec keeps the two runs digest-comparable
         args.faults = faults_spec
     try:
-        budget = None
-        if args.budget_ms is not None or args.max_rows is not None:
-            budget = Budget(
-                deadline_s=(
-                    args.budget_ms / 1e3
-                    if args.budget_ms is not None else None
-                ),
-                max_rows=args.max_rows,
-            )
         spec = WorkerSpec(
             dataset=args.dataset,
             rows=args.rows,
             seed=args.seed,
             csv=args.csv,
             faults_spec=faults_spec,
-            budget=budget,
+            budget=_budget(args),
             max_retries=args.max_retries,
+        )
+        config = ProcServeConfig(
+            shards=args.procs,
+            queue_limit=args.queue_limit,
+            deadline_s=(
+                args.deadline_ms / 1e3
+                if args.deadline_ms is not None else None
+            ),
+            breaker=BreakerConfig(
+                trip_after=args.trip_after,
+                cooldown_s=args.cooldown_ms / 1e3,
+            ),
+            drain_grace_s=args.drain_grace_ms / 1e3,
+            state_dir=args.state_dir,
+            fsync_interval_ms=args.fsync_interval_ms,
+            wal_segment_max_bytes=args.wal_segment_bytes,
+            wal_snapshot_every=args.wal_snapshot_every,
         )
         if args.chaos:
             # deterministic chaos: breakers and deadlines off (their
             # state depends on wall-clock completion order), admission
             # wide open, and a fast heartbeat so injected hangs are
             # detected in test time, not operator time
-            config = ProcServeConfig(
-                shards=args.procs,
+            config = replace(
+                config,
                 queue_limit=n + 1,
                 deadline_s=None,
-                max_retries=args.max_retries,
                 breaker=None,
                 heartbeat_interval_s=0.05,
                 heartbeat_timeout_s=0.5,
-                restart_backoff_base_s=0.05,
                 restart_backoff_cap_s=0.5,
-                drain_grace_s=args.drain_grace_ms / 1e3,
-                state_dir=args.state_dir,
-                fsync_interval_ms=args.fsync_interval_ms,
-                wal_segment_max_bytes=args.wal_segment_bytes,
-                wal_snapshot_every=args.wal_snapshot_every,
-            )
-        else:
-            config = ProcServeConfig(
-                shards=args.procs,
-                queue_limit=args.queue_limit,
-                deadline_s=(
-                    args.deadline_ms / 1e3
-                    if args.deadline_ms is not None else None
-                ),
-                max_retries=args.max_retries,
-                breaker=BreakerConfig(
-                    trip_after=args.trip_after,
-                    cooldown_s=args.cooldown_ms / 1e3,
-                ),
-                drain_grace_s=args.drain_grace_ms / 1e3,
-                state_dir=args.state_dir,
-                fsync_interval_ms=args.fsync_interval_ms,
-                wal_segment_max_bytes=args.wal_segment_bytes,
-                wal_snapshot_every=args.wal_snapshot_every,
             )
     except ValueError as exc:
         raise ReproError(str(exc)) from exc
@@ -933,6 +909,11 @@ def _serve_procs(args, records, corrupt: int) -> int:
     if args.chaos and chaos["total_deaths"] == 0 and n >= 1:
         failures.append(
             "chaos run injected no worker deaths (vacuous pass)"
+        )
+    if not args.chaos and chaos["total_deaths"]:
+        failures.append(
+            f"{chaos['total_deaths']} worker death(s) in a run without "
+            f"--chaos: {chaos['death_log']}"
         )
     if args.chaos:
         # statement conservation: the parent-side per-shard completion

@@ -17,6 +17,8 @@ unit-testable with an injected clock (``now``).
 Success for breaker purposes means "the build produced an answer": a
 *degraded* build still counts as success (the ladder did its job); a
 rejection never reaches the breaker (admission control is upstream).
+Both serving transports settle a finished build the same way, through
+:meth:`CircuitBreaker.settle`.
 """
 
 from __future__ import annotations
@@ -28,8 +30,35 @@ from dataclasses import dataclass
 from typing import Callable, Dict, Optional, Tuple
 
 from repro.obs.metrics import MetricsRegistry, registry
+from repro.query.ast import CreateCadViewStatement, ExplainStatement
+from repro.robustness.budget import Budget
 
-__all__ = ["BreakerState", "BreakerConfig", "CircuitBreaker", "BreakerBoard"]
+__all__ = [
+    "BreakerState", "BreakerConfig", "CircuitBreaker", "BreakerBoard",
+    "breaker_key", "default_open_budget",
+]
+
+
+def breaker_key(stmt: object) -> Optional[str]:
+    """The dataset a statement builds against, if it builds at all.
+
+    Only pipeline builds are breaker-guarded; reads against the view
+    catalog never trip or consult a breaker.
+    """
+    if isinstance(stmt, ExplainStatement):
+        return breaker_key(stmt.inner) if stmt.analyze else None
+    if isinstance(stmt, CreateCadViewStatement):
+        return stmt.table
+    return None
+
+
+def default_open_budget() -> Budget:
+    """What a short-circuited build runs under while its breaker is open.
+
+    Tight enough to force the sampling/greedy rungs of the degradation
+    ladder, generous enough that a degraded answer usually completes.
+    """
+    return Budget(deadline_s=0.25, max_rows=2000, retries=0)
 
 
 class BreakerState(enum.Enum):
@@ -143,8 +172,8 @@ class CircuitBreaker:
         this fixes — a cancelled probe releases the probe slot and the
         breaker **stays half-open** instead of latching back to open
         with a fresh cooldown.  The next arrival becomes the new probe.
-        (Deadline-triggered cancellations do not come here; the
-        executor routes them to :meth:`on_failure` — blowing the
+        (Deadline-triggered cancellations do not come here;
+        :meth:`settle` routes them to :meth:`on_failure` — blowing the
         serving deadline is precisely the unhealth the breaker exists
         to detect.)
         """
@@ -165,6 +194,25 @@ class CircuitBreaker:
                 if self._failures >= self.config.trip_after:
                     self._transition(BreakerState.OPEN)
                     self._opened_at = self._now()
+
+    def settle(
+        self,
+        status: str,
+        cancel_reason: Optional[str],
+        probe: bool = False,
+    ) -> None:
+        """Record how a gated build ended, from its statement status.
+
+        ``ok`` (degraded included) is a success; a cancellation for any
+        reason but the deadline is inconclusive (:meth:`on_cancelled`);
+        everything else, deadline blowouts included, is a failure.
+        """
+        if status == "ok":
+            self.on_success(probe=probe)
+        elif status == "cancelled" and "deadline" not in (cancel_reason or ""):
+            self.on_cancelled(probe=probe)
+        else:
+            self.on_failure(probe=probe)
 
     # -- internals (call with self._lock held) -----------------------------
 

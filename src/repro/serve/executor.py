@@ -27,12 +27,17 @@ What happens to an admitted statement:
    convergence failures) are retried with exponential backoff and
    deterministic jitter; everything else fails the ticket immediately.
 
-Every admitted statement ends in exactly one terminal *outcome* —
+Every submitted statement ends in exactly one terminal *outcome* —
 ``ok``, ``degraded``, ``rejected`` or ``failed`` — and leaves a
 workload-log record behind (``dbx.execute`` writes it for statements
 that ran; the executor writes it for statements that never reached the
 explorer: admission rejections, gate failures, cancellations while
 still queued).
+
+The multi-process transport (:mod:`repro.serve.proc`) runs the same
+per-statement steps: :func:`open_ticket`, :func:`admit`,
+:func:`execute_with_retries` and the outcome ledger
+:meth:`StatementTicket.finish`.
 
 Fault sites consulted here (see :mod:`repro.robustness.faults`):
 ``serve.queue_full`` forces an admission rejection even when the queue
@@ -66,18 +71,28 @@ from repro.errors import (
     ServeError,
 )
 from repro.obs.metrics import MetricsRegistry, registry
-from repro.obs.worklog import statement_kind
-from repro.query.ast import CreateCadViewStatement, ExplainStatement
+from repro.obs.worklog import WorkLogWriter, statement_kind
 from repro.query.parser import parse
 from repro.robustness.budget import Budget
 from repro.robustness.cancel import CancelToken
 from repro.robustness.faults import NO_FAULTS, FaultInjector
-from repro.serve.breaker import BreakerBoard, BreakerConfig
+from repro.serve.breaker import (
+    BreakerBoard,
+    BreakerConfig,
+    breaker_key,
+    default_open_budget,
+)
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids serve<->core cycle
-    from repro.core.explorer import DBExplorer
+    from repro.core.explorer import DBExplorer, Session
+    from repro.robustness.report import BuildReport
+    from repro.serve.proc.worker import WorkerSpec
 
-__all__ = ["ServeConfig", "SessionExecutor", "StatementTicket", "OUTCOMES"]
+__all__ = [
+    "ServeConfig", "SessionExecutor", "StatementTicket", "OUTCOMES",
+    "Execution", "open_ticket", "admit", "execute_with_retries",
+    "retry_after_s", "ewma_s",
+]
 
 OUTCOMES = ("ok", "degraded", "rejected", "failed")
 """Every ticket ends in exactly one of these terminal outcomes."""
@@ -87,13 +102,6 @@ OUTCOMES = ("ok", "degraded", "rejected", "failed")
 # that failed to converge, and I/O hiccups.  Semantic failures (parse /
 # analysis / build errors) are deterministic and never retried.
 _TRANSIENT_ERRORS = (ConvergenceError, RuntimeError, OSError)
-
-
-def _default_open_budget() -> Budget:
-    # what a short-circuited build runs under while its breaker is open:
-    # tight enough to force the sampling/greedy rungs of the degradation
-    # ladder, generous enough that a degraded answer usually completes
-    return Budget(deadline_s=0.25, max_rows=2000, retries=0)
 
 
 @dataclass(frozen=True)
@@ -136,7 +144,7 @@ class ServeConfig:
     backoff_cap_s: float = 0.5
     retry_jitter_seed: int = 0
     breaker: Optional[BreakerConfig] = field(default_factory=BreakerConfig)
-    open_budget: Budget = field(default_factory=_default_open_budget)
+    open_budget: Budget = field(default_factory=default_open_budget)
     watchdog_interval_s: float = 0.005
 
     def __post_init__(self) -> None:
@@ -202,9 +210,8 @@ class StatementTicket:
         self.degradations: Optional[List[str]] = None
         self.result_payload: object = None
         self.has_result_payload = False
-        # deterministic work counters of the execution (proc mode: the
-        # worker ships them with the response; thread mode leaves this
-        # None and callers read the session's last_work)
+        # deterministic work counters of the final attempt; None unless
+        # it reached dbx.execute (proc mode: shipped with the response)
         self.work: Optional[Dict[str, int]] = None
         self.proc_attempts = 0                # resubmits after worker deaths
         self._done = threading.Event()
@@ -227,21 +234,68 @@ class StatementTicket:
             fn(self)
             return
         self._callbacks.append(fn)
-        # close the register-vs-finish race: _finish may have run
+        # close the register-vs-finish race: finish may have run
         # between the check above and the append
         if self._done.is_set() and fn in self._callbacks:
             self._callbacks.remove(fn)
             fn(self)
 
-    def _finish(
+    def trip_deadline(
+        self, now: float, deadline_s: float, metrics: MetricsRegistry
+    ) -> bool:
+        """Cancel the ticket once its deadline passed; True if this did."""
+        if self.deadline_at is None or now < self.deadline_at:
+            return False
+        if not self.cancel.cancel(f"deadline of {deadline_s:.3f}s exceeded"):
+            return False
+        metrics.counter("serve.deadline_tripped").inc()
+        return True
+
+    def finish(
         self,
         outcome: str,
         status: str,
+        metrics: MetricsRegistry,
+        worklog: WorkLogWriter,
         result: Optional[object] = None,
         error: Optional[BaseException] = None,
+        elapsed_ms: Optional[float] = None,
+        logged: bool = False,
+        record: Optional[Dict[str, object]] = None,
     ) -> None:
+        """The outcome ledger: how every ticket of either transport ends.
+
+        Counts exactly one ``serve.outcome.<outcome>`` and one
+        ``serve.statements.<status>``, adds ``attempts - 1`` to
+        ``serve.retries``, counts a cancellation, and observes
+        ``serve.latency.<kind>`` for a dispatched statement
+        (``elapsed_ms`` given).  Unless the explorer already wrote the
+        workload-log record (``logged``), writes it here with the
+        transport's extra ``record`` fields.  Then completes the ticket.
+        """
         if outcome not in OUTCOMES:
             raise ServeError(f"unknown ticket outcome {outcome!r}")
+        kind = self.kind or "invalid"
+        metrics.counter(f"serve.outcome.{outcome}").inc()
+        metrics.counter(f"serve.statements.{status}").inc()
+        if self.attempts > 1:
+            metrics.counter("serve.retries").inc(self.attempts - 1)
+        if isinstance(error, QueryCancelledError):
+            metrics.counter("serve.cancelled").inc()
+        if elapsed_ms is not None:
+            metrics.histogram(f"serve.latency.{kind}").observe(
+                elapsed_ms / 1e3
+            )
+        if not logged and worklog.enabled:
+            fields: Dict[str, object] = {"error": (
+                f"{type(error).__name__}: {error}"
+                if error is not None else None
+            )}
+            fields.update(record or {})
+            worklog.statement(
+                self.sql, kind, status, elapsed_ms or 0.0,
+                session=self.session, **fields,
+            )
         self.outcome = outcome
         self.status = status
         self.result = result
@@ -257,6 +311,180 @@ class StatementTicket:
             f"StatementTicket(#{self.index}, {state}, "
             f"session={self.session!r})"
         )
+
+
+# -- the statement core both transports run ---------------------------------
+
+
+def open_ticket(
+    index: int,
+    sql: str,
+    session: str,
+    faults: Optional[FaultInjector],
+    fault_index: Optional[int],
+    plan: Optional[FaultInjector],
+    deadline_s: Optional[float],
+    now: Callable[[], float],
+) -> StatementTicket:
+    """A new ticket with its own fault injector and deadline stamp.
+
+    Without a ``faults`` override the transport's fault ``plan`` is
+    forked by ``fault_index`` (default: the ticket index), so counting
+    faults never race across tickets.  Queue wait counts against the
+    deadline.
+    """
+    if faults is None:
+        faults = (
+            plan.fork(index if fault_index is None else fault_index)
+            if plan is not None else NO_FAULTS
+        )
+    deadline_at = now() + deadline_s if deadline_s is not None else None
+    return StatementTicket(index, sql, session, faults, deadline_at)
+
+
+def admit(
+    ticket: StatementTicket,
+    reserve: Callable[[StatementTicket, bool], Optional[float]],
+    queue_limit: int,
+    metrics: MetricsRegistry,
+    worklog: WorkLogWriter,
+) -> None:
+    """Admit ``ticket``, or finish it ``rejected`` and raise.
+
+    ``reserve(ticket, refuse)`` is the transport's capacity accounting:
+    it takes a slot and returns ``None``, or — queue full, or ``refuse``
+    set by a planned error at the ``serve.queue_full`` site — returns
+    the Retry-After estimate the raised :class:`OverloadedError`
+    carries.
+    """
+    reason = None
+    try:
+        ticket.faults.fire("serve.queue_full")
+    # the planned error becomes the OverloadedError raised below, so
+    # nothing is swallowed here
+    # repro-lint: ignore[RL004]
+    except Exception as exc:
+        reason = f"injected overload: {exc}"
+    retry_after = reserve(ticket, reason is not None)
+    if retry_after is None:
+        metrics.counter("serve.admitted").inc()
+        return
+    error = OverloadedError(
+        reason or f"admission queue full ({queue_limit} waiting)",
+        retry_after_s=retry_after,
+    )
+    metrics.counter("serve.rejected").inc()
+    try:
+        ticket.kind = statement_kind(parse(ticket.sql))
+    except ReproError:
+        ticket.kind = "invalid"
+    ticket.finish("rejected", "rejected", metrics, worklog, error=error)
+    raise error
+
+
+def retry_after_s(latency_ewma_s: float, backlog: int, slots: int) -> float:
+    """Retry-After of a full queue: how long until a slot frees up.
+
+    The latency EWMA (0.1 s before any statement finished) scaled by
+    the backlog per execution slot.
+    """
+    avg = latency_ewma_s if latency_ewma_s > 0 else 0.1
+    return max(0.05, avg * max(1.0, backlog / float(slots)))
+
+
+def ewma_s(latency_ewma_s: float, elapsed_s: float) -> float:
+    """Fold one finished statement's latency into the EWMA."""
+    if latency_ewma_s == 0.0:
+        return elapsed_s
+    return 0.8 * latency_ewma_s + 0.2 * elapsed_s
+
+
+@dataclass(frozen=True)
+class Execution:
+    """What :func:`execute_with_retries` did with one statement.
+
+    ``executed``: ``dbx.execute`` ran on the final attempt (and wrote
+    the worklog record).  ``report``: the build report it produced, or
+    ``None``.  ``work``: a copy of its work counters (the session's
+    next statement overwrites ``last_work``), ``None`` unless it
+    executed.
+    """
+
+    result: Optional[object]
+    error: Optional[BaseException]
+    attempts: int
+    executed: bool
+    report: Optional["BuildReport"]
+    work: Optional[Dict[str, int]]
+
+
+def execute_with_retries(
+    dbx: "DBExplorer",
+    session: "Session",
+    sql: str,
+    cancel: CancelToken,
+    faults: FaultInjector,
+    budget: Optional[Budget],
+    retry: Union[ServeConfig, "WorkerSpec"],
+    jitter_index: int,
+    sleep: Callable[[float], None],
+) -> Execution:
+    """Run one statement under the transient-retry policy of ``retry``.
+
+    Each attempt fires the ``serve.slow_worker`` site, then runs
+    ``dbx.execute`` (one injector across attempts, so counting faults
+    expire).  Transient errors retry up to ``retry.max_retries`` times
+    after a backoff jittered by ``jitter_index``; anything else ends
+    the statement.  ``retry`` is a :class:`ServeConfig` or a
+    :class:`~repro.serve.proc.worker.WorkerSpec`.
+    """
+    report_before = session.last_report
+    result: Optional[object] = None
+    error: Optional[BaseException] = None
+    executed = False
+    for attempt in range(retry.max_retries + 1):
+        executed = False
+        try:
+            cancel.raise_if_cancelled()
+            faults.fire("serve.slow_worker")
+            cancel.raise_if_cancelled()
+            executed = True
+            result = dbx.execute(
+                sql, session=session, cancel=cancel, budget=budget,
+                faults=faults,
+            )
+            error = None
+            break
+        except QueryCancelledError as exc:
+            error = exc
+            break
+        except _TRANSIENT_ERRORS as exc:
+            error = exc
+            if attempt == retry.max_retries or cancel.cancelled:
+                break
+            sleep(_backoff_s(retry, jitter_index, attempt))
+        # not swallowed: the error is the statement's terminal state
+        # repro-lint: ignore[RL004]
+        except BaseException as exc:
+            error = exc
+            break
+    report = session.last_report
+    return Execution(
+        result, error, attempt + 1, executed,
+        report if report is not report_before else None,
+        dict(session.last_work) if executed and session.last_work else None,
+    )
+
+
+def _backoff_s(
+    retry: Union[ServeConfig, "WorkerSpec"], index: int, attempt: int
+) -> float:
+    # the formula ServeConfig documents, for both transports
+    base = min(retry.backoff_cap_s, retry.backoff_base_s * (2.0 ** attempt))
+    rng = random.Random(
+        retry.retry_jitter_seed * 1_000_003 + index * 1_009 + attempt
+    )
+    return base * (0.5 + rng.random() / 2.0)
 
 
 class SessionExecutor:
@@ -345,56 +573,21 @@ class SessionExecutor:
                 raise ServeError("executor is closed")
             index = self._submitted
             self._submitted += 1
-        if faults is not None:
-            injector = faults
-        elif self.dbx.faults is not None:
-            injector = self.dbx.faults.fork(
-                fault_index if fault_index is not None else index
-            )
-        else:
-            injector = NO_FAULTS
-        deadline_at = (
-            self._now() + self.config.deadline_s
-            if self.config.deadline_s is not None else None
+        ticket = open_ticket(
+            index, sql, session, faults, fault_index, self.dbx.faults,
+            self.config.deadline_s, self._now,
         )
-        ticket = StatementTicket(index, sql, session, injector, deadline_at)
-
-        # the serve.queue_full fault site: a planned error here forces
-        # the rejection path even with a roomy queue
-        try:
-            injector.fire("serve.queue_full")
-        # _reject always raises OverloadedError (with this fault as
-        # context), so nothing is swallowed here
-        # repro-lint: ignore[RL004]
-        except Exception as exc:
-            self._reject(ticket, f"injected overload: {exc}")
-
-        with self._lock:
-            capacity = self.config.workers + self.config.queue_limit
-            if self._queued + self._active >= capacity:
-                retry_after = self._retry_after_locked()
-                rejected = True
-            else:
-                self._queued += 1
-                self._outstanding[index] = ticket
-                rejected = False
-                depth = self._queued
-        if rejected:
-            self._reject(
-                ticket,
-                f"admission queue full "
-                f"({self.config.queue_limit} waiting)",
-                retry_after,
-            )
-        self._metrics.gauge("serve.queue_depth").set(float(depth))
-        self._metrics.counter("serve.admitted").inc()
+        admit(
+            ticket, self._reserve, self.config.queue_limit, self._metrics,
+            self.dbx.worklog,
+        )
 
         # the analyzer gate, on the caller thread: a statement that can
         # never execute fails here without consuming a pool thread
         try:
             stmt = parse(sql)
             ticket.kind = statement_kind(stmt)
-            ticket.dataset = _breaker_key(stmt)
+            ticket.dataset = breaker_key(stmt)
             report = self.dbx.analyze(stmt, text=sql)
             if not report.ok:
                 raise AnalysisError(report)
@@ -402,13 +595,10 @@ class SessionExecutor:
             with self._lock:
                 self._queued -= 1
                 self._outstanding.pop(index, None)
-            status = (
-                "parse_error" if isinstance(exc, ParseError)
-                else "analysis_error"
+            ticket.finish(
+                "failed", _status_of(exc), self._metrics,
+                self.dbx.worklog, error=exc,
             )
-            self._log_unexecuted(ticket, status, exc, 0.0)
-            self._metrics.counter("serve.outcome.failed").inc()
-            ticket._finish("failed", status, error=exc)
             return ticket
 
         self._queue.put(ticket)
@@ -425,33 +615,21 @@ class SessionExecutor:
         ticket.wait(timeout)
         return ticket
 
-    def _reject(
-        self,
-        ticket: StatementTicket,
-        reason: str,
-        retry_after_s: Optional[float] = None,
-    ) -> None:
-        if retry_after_s is None:
-            with self._lock:
-                retry_after_s = self._retry_after_locked()
-        error = OverloadedError(reason, retry_after_s=retry_after_s)
-        self._metrics.counter("serve.rejected").inc()
-        try:
-            ticket.kind = statement_kind(parse(ticket.sql))
-        except ReproError:
-            ticket.kind = "invalid"
-        self._log_unexecuted(ticket, "rejected", error, 0.0)
-        ticket._finish("rejected", "rejected", error=error)
-        raise error
-
-    def _retry_after_locked(self) -> float:
-        # a Retry-After guess: how long until a slot frees up, assuming
-        # recent latency holds — the hint a transport maps to HTTP 503
-        avg = self._latency_ewma_s if self._latency_ewma_s > 0 else 0.1
-        backlog = self._queued + self._active
-        return max(
-            0.05, avg * max(1.0, backlog / float(self.config.workers))
-        )
+    def _reserve(
+        self, ticket: StatementTicket, refuse: bool
+    ) -> Optional[float]:
+        # in-flight accounting: a burst against idle workers is never
+        # spuriously rejected by a dequeue race
+        with self._lock:
+            backlog = self._queued + self._active
+            slots = self.config.workers
+            if refuse or backlog >= slots + self.config.queue_limit:
+                return retry_after_s(self._latency_ewma_s, backlog, slots)
+            self._queued += 1
+            self._outstanding[ticket.index] = ticket
+            depth = self._queued
+        self._metrics.gauge("serve.queue_depth").set(float(depth))
+        return None
 
     # -- worker side -------------------------------------------------------
 
@@ -478,173 +656,59 @@ class SessionExecutor:
                 )
 
     def _run_ticket(self, ticket: StatementTicket) -> None:
-        config = self.config
         breaker = None
-        probe = False
         budget_override: Optional[Budget] = None
         if self._breakers is not None and ticket.dataset is not None:
             breaker = self._breakers.breaker(ticket.dataset)
-            full_pipeline, probe = breaker.allow()
-            ticket.probe = probe
+            full_pipeline, ticket.probe = breaker.allow()
             if not full_pipeline:
                 # breaker open: short-circuit onto the degradation
                 # ladder instead of burning this thread on a dataset
                 # that keeps failing
                 ticket.short_circuited = True
-                budget_override = config.open_budget
+                budget_override = self.config.open_budget
                 self._metrics.counter("serve.breaker.short_circuit").inc()
 
         session = self.dbx.session(ticket.session)
-        report_before = session.last_report
         start = self._now()
-        attempts = config.max_retries + 1
-        error: Optional[BaseException] = None
-        result: Optional[object] = None
-        executed = False  # did dbx.execute run (and hence write the log)?
-        for attempt in range(attempts):
-            ticket.attempts = attempt + 1
-            executed = False
-            try:
-                if ticket.cancel.cancelled:
-                    ticket.cancel.raise_if_cancelled()
-                # the serve.slow_worker site: sleep stalls this worker
-                # (the watchdog then trips the deadline), an error kind
-                # simulates a worker crash the retries must absorb
-                ticket.faults.fire("serve.slow_worker")
-                if ticket.cancel.cancelled:
-                    ticket.cancel.raise_if_cancelled()
-                executed = True
-                result = self.dbx.execute(
-                    ticket.sql,
-                    session=session,
-                    cancel=ticket.cancel,
-                    budget=budget_override,
-                    faults=ticket.faults,
-                )
-                error = None
-                break
-            except QueryCancelledError as exc:
-                error = exc
-                break
-            except _TRANSIENT_ERRORS as exc:
-                error = exc
-                if attempt + 1 >= attempts or ticket.cancel.cancelled:
-                    break
-                self._metrics.counter("serve.retries").inc()
-                self._sleep(self._backoff_s(ticket.index, attempt))
-            # not swallowed: the error becomes the ticket's terminal
-            # state (status/outcome/worklog record) a few lines down
-            # repro-lint: ignore[RL004]
-            except BaseException as exc:
-                error = exc
-                break
+        run = execute_with_retries(
+            self.dbx, session, ticket.sql, ticket.cancel, ticket.faults,
+            budget_override, self.config, ticket.index, self._sleep,
+        )
         elapsed = self._now() - start
         with self._lock:
-            self._latency_ewma_s = (
-                elapsed if self._latency_ewma_s == 0.0
-                else 0.8 * self._latency_ewma_s + 0.2 * elapsed
-            )
+            self._latency_ewma_s = ewma_s(self._latency_ewma_s, elapsed)
 
+        status = _status_of(run.error)
         if breaker is not None:
-            # a degraded answer still counts as success — the ladder did
-            # its job; deadline blowouts and other failures count
-            # against the dataset; a cancellation for any *other* reason
-            # (client went away, drain) says nothing about the build's
-            # health, so it must not latch a half-open breaker back open
-            if error is None:
-                breaker.on_success(probe=probe)
-            elif isinstance(error, QueryCancelledError) and \
-                    "deadline" not in (ticket.cancel.reason or ""):
-                breaker.on_cancelled(probe=probe)
-            else:
-                breaker.on_failure(probe=probe)
-
-        report = session.last_report
-        # stamp the final attempt's work counters on the ticket *now*:
-        # session.last_work is per-session mutable state and a later
-        # statement on the same session would overwrite it before the
-        # caller gets around to reading this ticket
-        ticket.work = (
-            dict(session.last_work)
-            if executed and session.last_work else None
-        )
-        degraded = (
-            error is None
-            and (
-                ticket.short_circuited
-                or (
-                    report is not None
-                    and report is not report_before
-                    and report.degraded
-                )
-            )
-        )
-        if error is None:
-            status, outcome = "ok", ("degraded" if degraded else "ok")
-        else:
-            status = _status_of(error)
+            breaker.settle(status, ticket.cancel.reason, probe=ticket.probe)
+        ticket.attempts = run.attempts
+        ticket.work = run.work
+        if run.error is not None:
             outcome = "failed"
-            if isinstance(error, QueryCancelledError):
-                self._metrics.counter("serve.cancelled").inc()
-        self._metrics.counter(f"serve.outcome.{outcome}").inc()
-        # the SLO layer's raw material: per-kind latency and per-status
-        # statement counts, same names in thread and proc serving modes
-        self._metrics.histogram(
-            f"serve.latency.{ticket.kind or 'invalid'}"
-        ).observe(elapsed)
-        self._metrics.counter(f"serve.statements.{status}").inc()
-        if error is not None and not executed:
-            # the failure happened before dbx.execute could write the
-            # worklog record (queued past the deadline, slow_worker
-            # fault) — the no-silent-drops property is ours to keep
-            self._log_unexecuted(ticket, status, error, elapsed * 1e3)
-        ticket._finish(outcome, status, result=result, error=error)
-
-    def _backoff_s(self, index: int, attempt: int) -> float:
-        base = min(
-            self.config.backoff_cap_s,
-            self.config.backoff_base_s * (2.0 ** attempt),
-        )
-        rng = random.Random(
-            self.config.retry_jitter_seed * 1_000_003
-            + index * 1_009 + attempt
-        )
-        return base * (0.5 + rng.random() / 2.0)
-
-    def _log_unexecuted(
-        self,
-        ticket: StatementTicket,
-        status: str,
-        error: BaseException,
-        elapsed_ms: float,
-    ) -> None:
-        if not self.dbx.worklog.enabled:
-            return
-        self.dbx.worklog.statement(
-            ticket.sql,
-            ticket.kind or "invalid",
-            status,
-            elapsed_ms,
-            error=f"{type(error).__name__}: {error}",
-            session=ticket.session,
+        elif ticket.short_circuited or (
+            run.report is not None and run.report.degraded
+        ):
+            outcome = "degraded"
+        else:
+            outcome = "ok"
+        ticket.finish(
+            outcome, status, self._metrics, self.dbx.worklog,
+            result=run.result, error=run.error, elapsed_ms=elapsed * 1e3,
+            logged=run.executed,
         )
 
     # -- watchdog ----------------------------------------------------------
 
     def _watchdog_loop(self) -> None:
-        interval = self.config.watchdog_interval_s
-        while not self._stop.wait(interval):
+        while not self._stop.wait(self.config.watchdog_interval_s):
             now = self._now()
             with self._lock:
-                expired = [
-                    t for t in self._outstanding.values()
-                    if t.deadline_at is not None and now >= t.deadline_at
-                ]
-            for ticket in expired:
-                if ticket.cancel.cancel(
-                    f"deadline of {self.config.deadline_s:.3f}s exceeded"
-                ):
-                    self._metrics.counter("serve.deadline_tripped").inc()
+                tickets = list(self._outstanding.values())
+            for ticket in tickets:
+                ticket.trip_deadline(
+                    now, self.config.deadline_s, self._metrics
+                )
 
     # -- introspection / shutdown ------------------------------------------
 
@@ -653,16 +717,6 @@ class SessionExecutor:
         if self._breakers is None:
             return {}
         return self._breakers.states()
-
-    def stats(self) -> Dict[str, Union[int, float]]:
-        """A point-in-time snapshot of the executor's load."""
-        with self._lock:
-            return {
-                "submitted": self._submitted,
-                "queued": self._queued,
-                "active": self._active,
-                "latency_ewma_s": self._latency_ewma_s,
-            }
 
     def close(self, wait: bool = True) -> None:
         """Stop accepting work, drain the queue, join the threads."""
@@ -686,20 +740,7 @@ class SessionExecutor:
         self.close()
 
 
-def _breaker_key(stmt: object) -> Optional[str]:
-    """The dataset a statement builds against, if it builds at all.
-
-    Only pipeline builds are breaker-guarded; reads against the view
-    catalog never trip or consult a breaker.
-    """
-    if isinstance(stmt, ExplainStatement):
-        return _breaker_key(stmt.inner) if stmt.analyze else None
-    if isinstance(stmt, CreateCadViewStatement):
-        return stmt.table
-    return None
-
-
-def _status_of(error: BaseException) -> str:
+def _status_of(error: Optional[BaseException]) -> str:
     # lazy import: repro.core.explorer imports repro.serve at module
     # load; the reverse edge must stay runtime-only
     from repro.core.explorer import _statement_status

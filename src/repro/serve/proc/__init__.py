@@ -16,8 +16,9 @@ The three pieces:
     torn-frame detection.
 :mod:`~repro.serve.proc.worker`
     The subprocess entry point: builds its shard, replays the catalog
-    journal, heartbeats, executes statements with thread-executor-
-    identical retry semantics, and hosts the ``proc.*`` fault sites.
+    journal, heartbeats, runs statements through the thread executor's
+    own retry loop (under :class:`WorkerSpec`'s retry policy), and
+    hosts the ``proc.*`` fault sites.
 :mod:`~repro.serve.proc.supervisor`
     The parent: shard routing, heartbeat monitoring, crash/hang/
     pipe-drop recovery with exponential restart backoff,

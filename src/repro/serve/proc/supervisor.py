@@ -19,8 +19,9 @@ The supervision tree::
 Failure handling, per cause:
 
 * **crash** — the process exits nonzero (or is SIGKILLed from
-  outside).  The reader sees EOF, the monitor sees ``is_alive() ==
-  False``; whichever notices first runs the one-shot death path.
+  outside).  The reader sees EOF, the monitor sees the process
+  sentinel fire; whichever notices first runs the one-shot death
+  path, which is also the only place that reaps the process.
 * **hang** — the process is alive but its heartbeat went stale (an
   injected ``proc.worker_hang``, a native-code spin).  The monitor
   SIGKILLs it: cancellation is cooperative and a hung worker by
@@ -49,8 +50,14 @@ history of a dead incarnation says nothing about its replacement.
 Graceful drain: :meth:`begin_drain` (safe to call from a SIGTERM
 handler) stops admission; :meth:`drain` then waits out a grace period,
 cancels what is left via the normal CancelToken path, sends each worker
-a drain frame (finish current statement, exit 0), and reaps every
-child — no orphans, every ticket terminal.
+a drain frame (finish current statement, exit 0), and waits for each
+incarnation's death path to reap it — no orphans, every ticket
+terminal.
+
+Admission, the outcome ledger (:mod:`repro.serve.executor`) and
+breaker settlement (:meth:`~repro.serve.breaker.CircuitBreaker.settle`)
+are the thread executor's own, so a statement counts, logs and settles
+identically in either serving mode.
 """
 
 from __future__ import annotations
@@ -60,9 +67,9 @@ import sys
 import threading
 import time
 import zlib
-from collections import deque
-from dataclasses import dataclass, field, replace
-from multiprocessing import get_context
+from collections import Counter, deque
+from dataclasses import asdict, dataclass, field, replace
+from multiprocessing import connection, get_context
 from typing import Callable, Deque, Dict, List, Optional, Tuple
 
 from repro.errors import (
@@ -71,7 +78,6 @@ from repro.errors import (
     ParseError,
     QueryCancelledError,
     RecoveryError,
-    ReproError,
     ServeError,
     WorkerCrashError,
 )
@@ -91,17 +97,23 @@ from repro.query.ast import (
 )
 from repro.query.parser import parse
 from repro.robustness.budget import Budget
-from repro.robustness.faults import NO_FAULTS, FaultInjector
-from repro.serve.breaker import BreakerBoard, BreakerConfig
+from repro.robustness.faults import FaultInjector
+from repro.serve.breaker import (
+    BreakerBoard,
+    BreakerConfig,
+    breaker_key,
+    default_open_budget,
+)
 from repro.serve.durability.recovery import compact_journal, recover_state
 from repro.serve.durability.wal import WalWriter
 from repro.serve.executor import (
     StatementTicket,
-    _breaker_key,
-    _default_open_budget,
+    admit,
+    ewma_s,
+    open_ticket,
+    retry_after_s,
 )
 from repro.serve.proc.protocol import (
-    FRAME_BYE,
     FRAME_CANCEL,
     FRAME_DRAIN,
     FRAME_HEARTBEAT,
@@ -113,12 +125,7 @@ from repro.serve.proc.protocol import (
     recv_frame,
     send_frame,
 )
-from repro.serve.proc.worker import (
-    PIPE_DROP_EXIT,
-    WORKER_CRASH_EXIT,
-    WorkerSpec,
-    worker_main,
-)
+from repro.serve.proc.worker import PIPE_DROP_EXIT, WorkerSpec, worker_main
 
 __all__ = ["ProcServeConfig", "ProcSupervisor", "RemoteStatementError"]
 
@@ -151,11 +158,8 @@ class ProcServeConfig:
     deadline_s:
         Per-statement wall-clock deadline from admission; the monitor
         trips the ticket's CancelToken and forwards a cancel frame.
-    max_retries / backoff_base_s / backoff_cap_s / retry_jitter_seed:
-        The **in-band** transient-retry policy, executed *inside* the
-        worker with semantics identical to the thread executor (same
-        jitter formula), so fault plans expire the same way in either
-        serving mode.
+        (Transient retries happen inside the workers, under
+        :class:`~repro.serve.proc.worker.WorkerSpec`'s policy.)
     proc_retries:
         How many times a statement is resubmitted after its worker
         died mid-execution before the ticket fails with
@@ -203,10 +207,6 @@ class ProcServeConfig:
     shards: int = 1
     queue_limit: int = 16
     deadline_s: Optional[float] = None
-    max_retries: int = 2
-    backoff_base_s: float = 0.02
-    backoff_cap_s: float = 0.5
-    retry_jitter_seed: int = 0
     proc_retries: int = 3
     restart_backoff_base_s: float = 0.05
     restart_backoff_cap_s: float = 2.0
@@ -215,7 +215,7 @@ class ProcServeConfig:
     ready_timeout_s: float = 60.0
     monitor_interval_s: float = 0.02
     breaker: Optional[BreakerConfig] = field(default_factory=BreakerConfig)
-    open_budget: Budget = field(default_factory=_default_open_budget)
+    open_budget: Budget = field(default_factory=default_open_budget)
     drain_grace_s: float = 5.0
     state_dir: Optional[str] = None
     fsync_interval_ms: float = 0.0
@@ -234,8 +234,10 @@ class ProcServeConfig:
             raise ValueError(
                 f"deadline_s must be > 0, got {self.deadline_s}"
             )
-        if self.max_retries < 0 or self.proc_retries < 0:
-            raise ValueError("retry counts must be >= 0")
+        if self.proc_retries < 0:
+            raise ValueError(
+                f"proc_retries must be >= 0, got {self.proc_retries}"
+            )
         if self.heartbeat_timeout_s <= self.heartbeat_interval_s:
             raise ValueError(
                 "heartbeat_timeout_s must exceed heartbeat_interval_s"
@@ -332,10 +334,14 @@ class _Shard:
 
 
 class _WorkerHandle:
-    """One live (or dying) worker incarnation."""
+    """One live (or dying) worker incarnation.
+
+    ``reaped`` is set once the death path has stored ``exitcode``.
+    """
 
     __slots__ = ("shard", "incarnation", "process", "conn", "spawned_at",
-                 "last_beat", "ready", "down", "saw_bye", "inflight")
+                 "last_beat", "ready", "down", "reaped", "exitcode",
+                 "inflight")
 
     def __init__(self, shard, incarnation, process, conn, spawned_at):
         self.shard = shard
@@ -346,7 +352,8 @@ class _WorkerHandle:
         self.last_beat = spawned_at
         self.ready = False
         self.down = False
-        self.saw_bye = False
+        self.reaped = threading.Event()
+        self.exitcode: Optional[int] = None
         self.inflight: Dict[str, _Request] = {}
 
 
@@ -392,9 +399,9 @@ class ProcSupervisor:
         self._tickets: Dict[int, _TicketState] = {}
         self._view_shard: Dict[str, int] = {}
         self._submitted = 0
-        self._requests_made = 0
         self._resubmits = 0
-        self._deaths: Dict[str, int] = {}
+        self._latency_ewma_s = 0.0
+        self._deaths: List[Dict[str, object]] = []
         self._restart_delays: List[float] = []
         self._closed = False
         self._draining = False
@@ -558,7 +565,6 @@ class ProcSupervisor:
             )
         except DurabilityError as exc:
             failure = exc
-        finalize = False
         with self._lock:
             if failure is not None:
                 self._wal_failed = True
@@ -567,15 +573,7 @@ class ProcSupervisor:
                     "error": f"durability failure: {failure}",
                 }
             state.wal_pending -= 1
-            if (
-                len(state.responses) == state.parts
-                and state.wal_pending == 0
-                and not state.finalized
-            ):
-                state.finalized = True
-                self._tickets.pop(state.ticket.index, None)
-                finalize = True
-                self._idle.notify_all()
+            finalize = self._complete_locked(state)
         if failure is not None:
             print(
                 f"[repro.serve] DURABILITY FAILURE: {failure}; "
@@ -616,39 +614,19 @@ class ProcSupervisor:
             index = self._submitted
             self._submitted += 1
         fidx = fault_index if fault_index is not None else index
-        if faults is not None:
-            injector = faults
-        elif self._faults is not None:
-            injector = self._faults.fork(fidx)
-        else:
-            injector = NO_FAULTS
-        deadline_at = (
-            self._now() + self.config.deadline_s
-            if self.config.deadline_s is not None else None
+        ticket = open_ticket(
+            index, sql, session, faults, fidx, self._faults,
+            self.config.deadline_s, self._now,
         )
-        ticket = StatementTicket(index, sql, session, injector, deadline_at)
-
-        # parent-side parity with the thread executor's admission sites
         try:
-            injector.fire("serve.queue_full")
-        # _reject always raises OverloadedError (with this fault as
-        # context), so nothing is swallowed here
-        # repro-lint: ignore[RL004]
-        except Exception as exc:
-            self._reject(ticket, f"injected overload: {exc}")
-
-        with self._lock:
-            capacity = len(self._shards) + self.config.queue_limit
-            rejected = len(self._tickets) >= capacity
-            outstanding = len(self._tickets)
-        if rejected:
-            self._reject(
-                ticket,
-                f"admission queue full "
-                f"({self.config.queue_limit} waiting)",
-                max(0.05, 0.1 * outstanding / len(self._shards)),
+            admit(
+                ticket, self._reserve, self.config.queue_limit,
+                self._metrics, self._worklog,
             )
-        self._metrics.counter("serve.admitted").inc()
+        except OverloadedError:
+            # conservation: never crossed a pipe, still counted once
+            self._metrics.counter("proc.unrouted.completed").inc()
+            raise
 
         # parse on the caller thread: a statement that cannot parse
         # fails here without ever crossing a pipe (the analyzer gate
@@ -656,19 +634,14 @@ class ProcSupervisor:
         try:
             stmt = parse(sql)
         except ParseError as exc:
-            ticket.kind = "invalid"
-            self._log_ticket_record(
-                ticket, "parse_error", 0.0,
-                error=f"{type(exc).__name__}: {exc}",
-            )
-            self._metrics.counter("serve.outcome.failed").inc()
-            # conservation: never crossed a pipe, still counted once
             self._metrics.counter("proc.unrouted.completed").inc()
-            self._metrics.counter("serve.statements.parse_error").inc()
-            ticket._finish("failed", "parse_error", error=exc)
+            ticket.finish(
+                "failed", "parse_error", self._metrics, self._worklog,
+                error=exc,
+            )
             return ticket
         ticket.kind = statement_kind(stmt)
-        ticket.dataset = _breaker_key(stmt)
+        ticket.dataset = breaker_key(stmt)
 
         state = _TicketState(ticket)
         parts = self._route(stmt, sql, session)
@@ -702,26 +675,16 @@ class ProcSupervisor:
         ticket.wait(timeout)
         return ticket
 
-    def _reject(
-        self,
-        ticket: StatementTicket,
-        reason: str,
-        retry_after_s: float = 0.1,
-    ) -> None:
-        error = OverloadedError(reason, retry_after_s=retry_after_s)
-        self._metrics.counter("serve.rejected").inc()
-        self._metrics.counter("proc.unrouted.completed").inc()
-        self._metrics.counter("serve.statements.rejected").inc()
-        try:
-            ticket.kind = statement_kind(parse(ticket.sql))
-        except ReproError:
-            ticket.kind = "invalid"
-        self._log_ticket_record(
-            ticket, "rejected", 0.0,
-            error=f"{type(error).__name__}: {error}",
-        )
-        ticket._finish("rejected", "rejected", error=error)
-        raise error
+    def _reserve(
+        self, ticket: StatementTicket, refuse: bool
+    ) -> Optional[float]:
+        # a ticket holds its slot from admission until it finalizes
+        with self._lock:
+            backlog = len(self._tickets)
+            slots = len(self._shards)
+            if refuse or backlog >= slots + self.config.queue_limit:
+                return retry_after_s(self._latency_ewma_s, backlog, slots)
+        return None
 
     # -- routing -----------------------------------------------------------
 
@@ -790,20 +753,17 @@ class ProcSupervisor:
             synth: List[_Request] = []
             with self._lock:
                 for shard in self._shards:
+                    # cancelled pending parts resolve here, worker or
+                    # not (drain depends on it)
+                    for req in [r for r in shard.pending
+                                if r.state.ticket.cancel.cancelled]:
+                        shard.pending.remove(req)
+                        synth.append(req)
                     handle = shard.handle
                     if handle is None or handle.down or not handle.ready:
-                        # even with no worker, cancelled pending parts
-                        # must still resolve (drain depends on it)
-                        for req in [r for r in shard.pending
-                                    if r.state.ticket.cancel.cancelled]:
-                            shard.pending.remove(req)
-                            synth.append(req)
                         continue
                     while shard.pending and not handle.inflight:
                         req = shard.pending.popleft()
-                        if req.state.ticket.cancel.cancelled:
-                            synth.append(req)
-                            continue
                         self._gate_request(req, shard, handle)
                         if self._tracer is not None:
                             span = Span(
@@ -827,7 +787,7 @@ class ProcSupervisor:
                     "fault_index": req.fault_index,
                     "proc_attempt": req.proc_attempt,
                     "budget": (
-                        _budget_dict(self.config.open_budget)
+                        asdict(self.config.open_budget)
                         if req.short_circuited else None
                     ),
                 }
@@ -837,7 +797,11 @@ class ProcSupervisor:
                     self._worker_down(handle, "pipe_drop")
             for req in synth:
                 reason = req.state.ticket.cancel.reason or "cancelled"
-                self._finish_part(req, _cancelled_response(reason))
+                self._finish_part(req, {
+                    "status": "cancelled",
+                    "error": f"QueryCancelledError: query cancelled: {reason}",
+                    "cancel_reason": reason,
+                })
 
     def _gate_request(
         self, req: _Request, shard: _Shard, handle: _WorkerHandle
@@ -904,21 +868,19 @@ class ProcSupervisor:
         ).start()
 
     def _reader_loop(self, handle: _WorkerHandle) -> None:
+        cause: Optional[str] = None
         while True:
             try:
                 kind, payload = recv_frame(handle.conn)
             except ProtocolError:
-                self._worker_down(handle, "pipe_drop")
-                return
+                cause = "pipe_drop"
+                break
             except (EOFError, OSError):
-                self._worker_down(handle, self._infer_cause(handle))
-                return
+                break  # the process ended: its exit code says why
             with self._lock:
                 handle.last_beat = self._now()
                 if kind == FRAME_READY:
                     handle.ready = True
-                elif kind == FRAME_BYE:
-                    handle.saw_bye = True
             if kind == FRAME_READY:
                 self._metrics.gauge(
                     f"proc.s{handle.shard}.journal_replayed"
@@ -935,22 +897,42 @@ class ProcSupervisor:
                     int(payload.get("incarnation", handle.incarnation)),
                     payload,
                 )
+        self._worker_down(handle, cause)
+        # the reader is the only closer of its connection, and only
+        # after the death path ran (no new sends): closing it under a
+        # recv or send in another thread fails that call with TypeError
+        handle.conn.close()
 
-    def _infer_cause(self, handle: _WorkerHandle) -> str:
-        handle.process.join(timeout=0.5)
-        code = handle.process.exitcode
-        if code == PIPE_DROP_EXIT:
-            return "pipe_drop"
-        if code == 0 and handle.saw_bye:
-            return "drain"
-        return "crash"
+    def _worker_down(
+        self, handle: _WorkerHandle, cause: Optional[str] = None
+    ) -> None:
+        """The one-shot death path of a worker incarnation.
 
-    def _worker_down(self, handle: _WorkerHandle, cause: str) -> None:
-        """The one-shot death path for a worker incarnation."""
+        Whoever notices first claims it; everyone else returns at once.
+        It is the process's only reaper: ``Popen.poll`` from two
+        threads loses the exit code to the ``waitpid`` race.
+        ``cause=None`` means the process ended on its own: exit 0 (only
+        the worker's clean shutdown exits 0) is a drain,
+        :data:`PIPE_DROP_EXIT` a pipe drop, anything else a crash.
+        """
         with self._lock:
             if handle.down:
                 return
             handle.down = True
+        process = handle.process
+        if cause is None:
+            process.join(timeout=0.5)
+            code = process.exitcode
+            cause = (
+                "drain" if code == 0
+                else "pipe_drop" if code == PIPE_DROP_EXIT
+                else "crash"
+            )
+        if process.is_alive():
+            process.kill()
+        process.join(timeout=2.0)
+        handle.exitcode = process.exitcode
+        with self._lock:
             shard = self._shards[handle.shard]
             if shard.handle is handle:
                 shard.handle = None
@@ -966,22 +948,21 @@ class ProcSupervisor:
                 )
                 shard.restart_at = self._now() + delay
                 self._restart_delays.append(delay)
-                self._deaths[cause] = self._deaths.get(cause, 0) + 1
+                self._deaths.append({
+                    "shard": handle.shard,
+                    "incarnation": handle.incarnation,
+                    "cause": cause,
+                    "exitcode": handle.exitcode,
+                })
+        handle.reaped.set()
         if cause != "drain":
             self._metrics.counter("proc.deaths").inc()
             self._metrics.counter(f"proc.deaths.{cause}").inc()
         self.telemetry.record_event(
             "worker.death" if cause != "drain" else "worker.drained",
             shard=handle.shard, incarnation=handle.incarnation,
-            cause=cause, ts=time.time(),
+            cause=cause, exitcode=handle.exitcode, ts=time.time(),
         )
-        if handle.process.is_alive():
-            handle.process.kill()
-        handle.process.join(timeout=2.0)
-        try:
-            handle.conn.close()
-        except OSError:
-            pass  # already closed by the tear that got us here
         for req in inflight:
             if req.span is not None:
                 # one span per dispatch attempt: the resubmission (if
@@ -1001,8 +982,7 @@ class ProcSupervisor:
                     self._shards[req.shard].pending.appendleft(req)
                     self._resubmits += 1
                     req.state.ticket.proc_attempts = max(
-                        getattr(req.state.ticket, "proc_attempts", 0),
-                        req.proc_attempt,
+                        req.state.ticket.proc_attempts, req.proc_attempt,
                     )
                 self._metrics.counter("proc.resubmits").inc()
             else:
@@ -1029,15 +1009,17 @@ class ProcSupervisor:
 
     def _tick(self) -> None:
         now = self._now()
-        kills: List[Tuple[_WorkerHandle, str]] = []
+        kills: List[Tuple[_WorkerHandle, Optional[str]]] = []
         spawns: List[int] = []
-        expired: List[_TicketState] = []
+        states: List[_TicketState] = []
         with self._lock:
             for shard in self._shards:
                 handle = shard.handle
                 if handle is not None and not handle.down:
-                    if not handle.process.is_alive():
-                        kills.append((handle, ""))  # cause from exitcode
+                    # the sentinel tells "exited" without reaping: the
+                    # death path is the process's only reaper
+                    if connection.wait([handle.process.sentinel], 0):
+                        kills.append((handle, None))  # cause: exit code
                     elif handle.ready and (
                         now - handle.last_beat
                         > self.config.heartbeat_timeout_s
@@ -1056,22 +1038,16 @@ class ProcSupervisor:
                 ):
                     spawns.append(shard.index)
             if self.config.deadline_s is not None:
-                expired = [
-                    ts for ts in self._tickets.values()
-                    if ts.ticket.deadline_at is not None
-                    and now >= ts.ticket.deadline_at
-                    and not ts.ticket.cancel.cancelled
-                ]
+                states = list(self._tickets.values())
         for handle, cause in kills:
-            self._worker_down(handle, cause or self._infer_cause(handle))
+            self._worker_down(handle, cause)
         for shard_idx in spawns:
             self._spawn(shard_idx)
-        for ts in expired:
-            self._metrics.counter("serve.deadline_tripped").inc()
-            self._cancel_ticket(
-                ts,
-                f"deadline of {self.config.deadline_s:.3f}s exceeded",
-            )
+        for ts in states:
+            if ts.ticket.trip_deadline(
+                now, self.config.deadline_s, self._metrics
+            ):
+                self._cancel_ticket(ts, str(ts.ticket.cancel.reason))
 
     # -- completion --------------------------------------------------------
 
@@ -1091,20 +1067,11 @@ class ProcSupervisor:
             f"proc.s{handle.shard}.latency"
         ).observe(float(payload.get("elapsed_ms") or 0.0) / 1e3)
         if req.breaker is not None:
-            status = str(payload.get("status") or "error")
-            if status == "ok":
-                req.breaker.on_success(probe=req.probe)
-            elif status == "cancelled":
-                reason = str(payload.get("cancel_reason") or "")
-                if "deadline" in reason:
-                    req.breaker.on_failure(probe=req.probe)
-                else:
-                    # cancelled-not-failed: the build's health is
-                    # unknown, so the probe slot frees without latching
-                    # the breaker open (the half-open race fix)
-                    req.breaker.on_cancelled(probe=req.probe)
-            else:
-                req.breaker.on_failure(probe=req.probe)
+            req.breaker.settle(
+                str(payload.get("status") or "error"),
+                payload.get("cancel_reason"),
+                probe=req.probe,
+            )
         self._finish_part(req, payload)
         self._pump()
 
@@ -1112,7 +1079,6 @@ class ProcSupervisor:
         self, req: _Request, response: Dict[str, object]
     ) -> None:
         state = req.state
-        finalize = False
         if req.span is not None and not req.span.closed:
             req.span.set_attr(
                 "status", str(response.get("status") or "error")
@@ -1137,19 +1103,25 @@ class ProcSupervisor:
                     shard = self._shards[req.shard]
                     shard.journal.append((req.sql, req.session))
                     self._note_journal_len_locked(shard)
-            if (
-                len(state.responses) == state.parts
-                and state.wal_pending == 0
-                and not state.finalized
-            ):
-                state.finalized = True
-                self._tickets.pop(state.ticket.index, None)
-                finalize = True
-                self._idle.notify_all()
+            finalize = self._complete_locked(state)
         if wal_commit:
             self._wal_commit(req, state)
         elif finalize:
             self._finalize(state)
+
+    def _complete_locked(self, state: _TicketState) -> bool:
+        # every part answered and every WAL commit durable: the ticket
+        # leaves the books exactly once (True: the caller finalizes it)
+        if (
+            len(state.responses) < state.parts
+            or state.wal_pending
+            or state.finalized
+        ):
+            return False
+        state.finalized = True
+        self._tickets.pop(state.ticket.index, None)
+        self._idle.notify_all()
+        return True
 
     def _finalize(self, state: _TicketState) -> None:
         ticket = state.ticket
@@ -1176,13 +1148,10 @@ class ProcSupervisor:
         degradations = [
             str(d) for d in (primary.get("degradations") or [])
         ]
-        short_circuited = any(r.short_circuited for r in state.requests)
-        ticket.short_circuited = short_circuited
+        ticket.short_circuited = any(
+            r.short_circuited for r in state.requests
+        )
         ticket.attempts = int(primary.get("attempts") or 1)
-        if ticket.attempts > 1:
-            self._metrics.counter("serve.retries").inc(
-                ticket.attempts - 1
-            )
         ticket.degradations = degradations
         ticket.result_payload = payload
         ticket.has_result_payload = True
@@ -1191,10 +1160,10 @@ class ProcSupervisor:
             {str(k): int(v) for k, v in raw_work.items()}
             if isinstance(raw_work, dict) else None
         )
+        error: Optional[BaseException] = None
         if status == "ok":
-            degraded = short_circuited or bool(primary.get("degraded"))
+            degraded = ticket.short_circuited or bool(primary.get("degraded"))
             outcome = "degraded" if degraded else "ok"
-            error: Optional[BaseException] = None
         else:
             outcome = "failed"
             exc = primary.get("_exception")
@@ -1207,43 +1176,40 @@ class ProcSupervisor:
                         or ticket.cancel.reason or "cancelled"
                     )
                 )
-                self._metrics.counter("serve.cancelled").inc()
             else:
                 error = RemoteStatementError(
                     str(primary.get("error") or status), status=status
                 )
-        self._metrics.counter(f"serve.outcome.{outcome}").inc()
+        elapsed_ms = float(primary.get("elapsed_ms") or 0.0)
+        with self._lock:
+            self._latency_ewma_s = ewma_s(
+                self._latency_ewma_s, elapsed_ms / 1e3
+            )
         # conservation counters: every admitted statement is finalized
         # exactly once, attributed to its primary part's shard — these
         # are parent-side, so they survive any number of worker deaths
         # (the unrouted leg is parse errors/rejections, in submit())
-        shard_idx = state.requests[state.primary_part].shard
-        self._metrics.counter(f"proc.s{shard_idx}.completed").inc()
-        self._metrics.histogram(
-            f"serve.latency.{ticket.kind or 'invalid'}"
-        ).observe(float(primary.get("elapsed_ms") or 0.0) / 1e3)
-        self._metrics.counter(f"serve.statements.{status}").inc()
-        self._log_ticket_record(
-            ticket, status, float(primary.get("elapsed_ms") or 0.0),
-            rows_out=rows_out,
-            pivot=primary.get("pivot"),
-            phases_ms=primary.get("phases_ms"),
-            degradations=degradations,
-            error=primary.get("error"),
-            work=ticket.work,
-            proc={
-                "shard": state.requests[state.primary_part].shard,
-                "incarnation": state.requests[
-                    state.primary_part
-                ].incarnation,
-                "proc_attempts": getattr(ticket, "proc_attempts", 0),
-                "cause": primary.get("proc_cause"),
-            },
-        )
-        ticket._finish(
-            outcome, status,
+        primary_req = state.requests[state.primary_part]
+        self._metrics.counter(f"proc.s{primary_req.shard}.completed").inc()
+        ticket.finish(
+            outcome, status, self._metrics, self._worklog,
             result=explain_text if isinstance(explain_text, str) else None,
             error=error,
+            elapsed_ms=elapsed_ms,
+            record={
+                "rows_out": rows_out,
+                "pivot": primary.get("pivot"),
+                "phases_ms": primary.get("phases_ms"),
+                "degradations": degradations,
+                "error": primary.get("error"),
+                "work": ticket.work,
+                "proc": {
+                    "shard": primary_req.shard,
+                    "incarnation": primary_req.incarnation,
+                    "proc_attempts": ticket.proc_attempts,
+                    "cause": primary.get("proc_cause"),
+                },
+            },
         )
 
     def _merge_payload(
@@ -1268,49 +1234,13 @@ class ProcSupervisor:
             int(rows) if rows is not None else None,
         )
 
-    def _log_ticket_record(
-        self,
-        ticket: StatementTicket,
-        status: str,
-        elapsed_ms: float,
-        rows_out: Optional[int] = None,
-        pivot: Optional[object] = None,
-        phases_ms: Optional[object] = None,
-        degradations: Optional[List[str]] = None,
-        error: Optional[object] = None,
-        work: Optional[Dict[str, int]] = None,
-        proc: Optional[Dict[str, object]] = None,
-    ) -> None:
-        if not self._worklog.enabled:
-            return
-        self._worklog.statement(
-            ticket.sql,
-            ticket.kind or "invalid",
-            status,
-            elapsed_ms,
-            rows_out=rows_out,
-            pivot=str(pivot) if pivot is not None else None,
-            phases_ms=phases_ms if isinstance(phases_ms, dict) else None,
-            degradations=degradations,
-            error=str(error) if error is not None else None,
-            session=ticket.session,
-            work=work,
-            proc=proc,
-        )
-
     # -- cancellation ------------------------------------------------------
 
     def _cancel_ticket(self, state: _TicketState, reason: str) -> None:
         state.ticket.cancel.cancel(reason)
-        synth: List[_Request] = []
         sends: List[Tuple[_WorkerHandle, str]] = []
         with self._lock:
             for shard in self._shards:
-                if shard.pending:
-                    mine = [r for r in shard.pending if r.state is state]
-                    for req in mine:
-                        shard.pending.remove(req)
-                    synth.extend(mine)
                 handle = shard.handle
                 if handle is not None and not handle.down:
                     sends.extend(
@@ -1326,9 +1256,7 @@ class ProcSupervisor:
                 )
             except (OSError, ValueError):
                 self._worker_down(handle, "pipe_drop")
-        for req in synth:
-            self._finish_part(req, _cancelled_response(reason))
-        self._pump()
+        self._pump()  # resolves the ticket's parts still pending
 
     # -- drain / shutdown --------------------------------------------------
 
@@ -1343,9 +1271,11 @@ class ProcSupervisor:
         Waits up to ``grace_s`` (default: the config's) for in-flight
         tickets to finish, cancels the rest through the normal
         CancelToken path, sends every worker a drain frame (finish the
-        current statement, exit 0), and joins every child process —
-        SIGKILLing stragglers so nothing is orphaned.  Returns a report
-        with per-shard exit codes; idempotent.
+        current statement, exit 0), and waits for each incarnation's
+        death path to reap it.  A worker still running 5 s later is
+        killed as hung (its tickets fail, no resubmit while draining),
+        so nothing is orphaned and every ticket ends.  Returns a report
+        with the exit codes that death path recorded; idempotent.
         """
         with self._lock:
             if self._closed:
@@ -1362,23 +1292,6 @@ class ProcSupervisor:
             leftovers = list(self._tickets.values())
         for ts in leftovers:
             self._cancel_ticket(ts, "drain")
-        # cancelled builds stop at their next budget checkpoint; give
-        # them a bounded window to come back with status=cancelled
-        settle = self._now() + 2.0
-        with self._idle:
-            while self._tickets and self._now() < settle:
-                self._idle.wait(0.05)
-        with self._lock:
-            stuck = [
-                s.handle for s in self._shards
-                if s.handle is not None and not s.handle.down
-                and s.handle.inflight
-            ]
-        for handle in stuck:
-            # a worker that ignores cancellation for this long is hung;
-            # killing it resolves its tickets (no resubmit while
-            # draining), which is what "every ticket terminal" needs
-            self._worker_down(handle, "hang")
         with self._lock:
             handles = [
                 s.handle for s in self._shards
@@ -1391,15 +1304,12 @@ class ProcSupervisor:
                 self._worker_down(handle, "pipe_drop")
         exitcodes: Dict[str, Optional[int]] = {}
         for handle in handles:
-            handle.process.join(timeout=3.0)
-            if handle.process.is_alive():
-                handle.process.kill()
-                handle.process.join(timeout=3.0)
-            exitcodes[f"s{handle.shard}"] = handle.process.exitcode
-            try:
-                handle.conn.close()
-            except OSError:
-                pass  # peer already tore it down
+            # the reader's EOF runs the death path, which reaps: drain
+            # only waits for it
+            if not handle.reaped.wait(5.0):
+                self._worker_down(handle, "hang")
+                handle.reaped.wait(5.0)
+            exitcodes[f"s{handle.shard}"] = handle.exitcode
         self._stop.set()
         if threading.current_thread() is not self._monitor:
             self._monitor.join(timeout=2.0)
@@ -1456,38 +1366,6 @@ class ProcSupervisor:
             return {}
         return self._breakers.states()
 
-    def stats(self) -> Dict[str, object]:
-        """A point-in-time snapshot of the supervision tree."""
-        # WAL stats are read before taking the supervisor lock: the
-        # only sanctioned lock order is WAL -> supervisor (snapshot_cb)
-        wal = self._wal.stats() if self._wal is not None else None
-        with self._lock:
-            return {
-                "wal": wal,
-                "submitted": self._submitted,
-                "outstanding": len(self._tickets),
-                "pending": sum(len(s.pending) for s in self._shards),
-                "resubmits": self._resubmits,
-                "deaths": dict(sorted(self._deaths.items())),
-                "restart_delays": list(self._restart_delays),
-                "shards": [
-                    {
-                        "shard": s.index,
-                        "incarnation": (
-                            s.handle.incarnation
-                            if s.handle is not None else None
-                        ),
-                        "ready": (
-                            bool(s.handle.ready)
-                            if s.handle is not None else False
-                        ),
-                        "failures": s.failures,
-                        "journal": len(s.journal),
-                    }
-                    for s in self._shards
-                ],
-            }
-
     def stats_snapshot(self) -> Dict[str, object]:
         """The full ops snapshot: the ``repro stats`` / SIGUSR1 payload.
 
@@ -1522,7 +1400,7 @@ class ProcSupervisor:
                 "queue_depth": sum(len(s.pending) for s in self._shards),
                 "inflight": sum(s["inflight"] for s in shards),
                 "resubmits": self._resubmits,
-                "deaths": dict(sorted(self._deaths.items())),
+                "deaths": _death_counts(self._deaths),
                 "shards": shards,
             }
         snap["wal"] = wal
@@ -1544,12 +1422,17 @@ class ProcSupervisor:
         return snap
 
     def chaos_stats(self) -> Dict[str, object]:
-        """What the chaos harness asserts on after a run."""
+        """What the chaos harness asserts on after a run.
+
+        ``deaths`` counts worker deaths by cause; ``death_log`` lists
+        each one as ``{shard, incarnation, cause, exitcode}``.
+        """
         with self._lock:
             delays = list(self._restart_delays)
             return {
-                "deaths": dict(sorted(self._deaths.items())),
-                "total_deaths": sum(self._deaths.values()),
+                "deaths": _death_counts(self._deaths),
+                "death_log": [dict(death) for death in self._deaths],
+                "total_deaths": len(self._deaths),
                 "resubmits": self._resubmits,
                 "restart_delays": delays,
                 "max_restart_delay_s": max(delays, default=0.0),
@@ -1558,23 +1441,5 @@ class ProcSupervisor:
             }
 
 
-def _cancelled_response(reason: str) -> Dict[str, object]:
-    return {
-        "status": "cancelled",
-        "degradations": [],
-        "result_payload": None,
-        "attempts": 0,
-        "elapsed_ms": 0.0,
-        "error": f"QueryCancelledError: query cancelled: {reason}",
-        "cancel_reason": reason,
-    }
-
-
-def _budget_dict(budget: Budget) -> Dict[str, object]:
-    return {
-        "deadline_s": budget.deadline_s,
-        "max_rows": budget.max_rows,
-        "max_cells": budget.max_cells,
-        "retries": budget.retries,
-        "degrade_at": budget.degrade_at,
-    }
+def _death_counts(deaths: List[Dict[str, object]]) -> Dict[str, int]:
+    return dict(sorted(Counter(str(d["cause"]) for d in deaths).items()))

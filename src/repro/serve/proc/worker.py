@@ -15,12 +15,13 @@ process per shard with.  A worker:
 2. sends a ``ready`` frame and starts a **heartbeat thread** beating
    every ``heartbeat_interval_s`` — the supervisor's missed-heartbeat
    detector is the only way a *hung* (not dead) worker is caught;
-3. executes requests **serially** on the main thread with the same
-   in-band retry semantics as the thread executor (transient errors
-   retried with deterministic backoff jitter, one forked fault injector
-   persisting across attempts), while a **reader thread** keeps
-   consuming frames so ``cancel`` can trip an in-flight statement's
-   :class:`~repro.robustness.CancelToken` mid-build.
+3. executes requests **serially** on the main thread through the
+   thread executor's own retry loop
+   (:func:`~repro.serve.executor.execute_with_retries`: transient
+   errors retried with deterministic backoff jitter, one forked fault
+   injector persisting across attempts), while a **reader thread**
+   keeps consuming frames so ``cancel`` can trip an in-flight
+   statement's :class:`~repro.robustness.CancelToken` mid-build.
 
 Results never cross the pipe as live objects: the worker reduces them
 to the JSON-able digest payload (:func:`repro.serve.stress.
@@ -46,23 +47,19 @@ from __future__ import annotations
 
 import os
 import queue
-import random
 import signal
 import threading
 import time
 from dataclasses import asdict, dataclass
 from typing import Dict, List, Optional, Tuple
 
-from repro.errors import (
-    ConvergenceError,
-    QueryCancelledError,
-    ReproError,
-)
+from repro.errors import ReproError
 from repro.robustness.budget import Budget
 from repro.robustness.cancel import CancelToken
 from repro.robustness.faults import NO_FAULTS, FaultInjector
 from repro.obs.metrics import registry
 from repro.obs.tracer import Span, Tracer, epoch_anchor, span_to_wire
+from repro.serve.executor import execute_with_retries
 from repro.serve.proc.protocol import (
     FRAME_BYE,
     FRAME_CANCEL,
@@ -102,10 +99,6 @@ _DEFAULT_ROWS = {"usedcars": 40_000, "mushroom": 8_124}
 _TEL_MAX_SPANS = 128
 _TEL_MAX_EVENTS = 256
 
-# Mirrors the thread executor's transient set: injected crashes
-# (RuntimeError), convergence failures, I/O hiccups.
-_TRANSIENT_ERRORS = (ConvergenceError, RuntimeError, OSError)
-
 
 @dataclass(frozen=True)
 class WorkerSpec:
@@ -128,8 +121,8 @@ class WorkerSpec:
         for unbudgeted); per-request overrides (a breaker's open
         budget) arrive on the request frame instead.
     max_retries / backoff_base_s / backoff_cap_s / retry_jitter_seed:
-        The in-band transient-retry policy, mirroring
-        :class:`~repro.serve.executor.ServeConfig`.
+        Proc mode's transient-retry policy (``--max-retries`` lands
+        here), run in the worker by the thread executor's own loop.
     """
 
     dataset: str = "usedcars"
@@ -147,6 +140,12 @@ class WorkerSpec:
     """When True (the supervisor was given a tracer), the worker builds
     a span tree per request and ships it over ``TELEMETRY`` frames;
     metrics and lifecycle events ship regardless."""
+
+    def __post_init__(self) -> None:
+        if self.max_retries < 0:
+            raise ValueError(
+                f"max_retries must be >= 0, got {self.max_retries}"
+            )
 
     def as_dict(self) -> Dict[str, object]:
         """The spawn-safe plain-dict form."""
@@ -486,7 +485,7 @@ class _Worker:
         budget_override: Optional[Budget],
         fault_index: int,
     ) -> Dict[str, object]:
-        """One statement with thread-executor-identical retry semantics."""
+        """One statement through the thread executor's retry loop."""
         # lazy import: keeps worker import time (spawn latency) down and
         # avoids a module cycle through repro.serve.stress
         from repro.core.explorer import _result_rows, _statement_status
@@ -495,43 +494,13 @@ class _Worker:
         from repro.query.parser import parse
         from repro.serve.stress import result_payload
 
-        sess = self.dbx.session(session)
-        report_before = sess.last_report
         start = time.perf_counter()
-        attempts = self.spec.max_retries + 1
-        error: Optional[BaseException] = None
-        result: Optional[object] = None
-        for attempt in range(attempts):
-            try:
-                if token.cancelled:
-                    token.raise_if_cancelled()
-                injector.fire("serve.slow_worker")
-                if token.cancelled:
-                    token.raise_if_cancelled()
-                result = self.dbx.execute(
-                    sql, session=sess, cancel=token,
-                    budget=budget_override, faults=injector,
-                )
-                error = None
-                break
-            except QueryCancelledError as exc:
-                error = exc
-                break
-            except _TRANSIENT_ERRORS as exc:
-                error = exc
-                if attempt + 1 >= attempts or token.cancelled:
-                    break
-                time.sleep(self._backoff_s(fault_index, attempt))
-            # not swallowed: the error becomes the response's status
-            # and travels back to the supervisor verbatim
-            # repro-lint: ignore[RL004]
-            except BaseException as exc:
-                error = exc
-                break
+        run = execute_with_retries(
+            self.dbx, self.dbx.session(session), sql, token, injector,
+            budget_override, self.spec, fault_index, time.sleep,
+        )
         elapsed_ms = (time.perf_counter() - start) * 1e3
-        report = sess.last_report
-        if report is report_before:
-            report = None
+        result, error, report = run.result, run.error, run.report
         degradations = (
             [str(d) for d in report.degradations]
             if report is not None else []
@@ -578,25 +547,13 @@ class _Worker:
                 if error is not None else None
             ),
             "cancel_reason": token.reason,
-            "attempts": attempt + 1,
+            "attempts": run.attempts,
             "elapsed_ms": elapsed_ms,
-            # deterministic work counters of the final attempt — exact
-            # integers, so the supervisor can log/ship them verbatim
-            "work": sess.last_work,
+            # deterministic work counters of the final attempt (None
+            # when it never reached dbx.execute) — exact integers, so
+            # the supervisor can log/ship them verbatim
+            "work": run.work,
         }
-
-    def _backoff_s(self, index: int, attempt: int) -> float:
-        # byte-for-byte the thread executor's jitter formula, so a
-        # transient retry waits identically in either serving mode
-        base = min(
-            self.spec.backoff_cap_s,
-            self.spec.backoff_base_s * (2.0 ** attempt),
-        )
-        rng = random.Random(
-            self.spec.retry_jitter_seed * 1_000_003
-            + index * 1_009 + attempt
-        )
-        return base * (0.5 + rng.random() / 2.0)
 
 
 def worker_main(

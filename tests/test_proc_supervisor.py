@@ -9,6 +9,9 @@ statement reaches a terminal state, no matter which workers die when.
 
 from __future__ import annotations
 
+import sys
+import threading
+
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -74,6 +77,52 @@ class TestHappyPath:
                 sup.submit("SELECT Make FROM data")
         finally:
             sup.close(wait=False)
+
+
+class TestCalmDrainUnderContention:
+    def test_calm_drains_record_no_death(self):
+        """Ten calm 2-shard drains while a spinning thread and a 1 us
+        switch interval interleave the supervisor's threads: every
+        worker exits 0, is reaped by exactly one path, and no drain
+        reports a death or an unclean exit code (two threads reaping
+        one child used to lose its exit code to the waitpid race and
+        call a clean drain a crash)."""
+        errors = []
+        stop = threading.Event()
+
+        def spin():
+            while not stop.is_set():
+                pass
+
+        old_hook = threading.excepthook
+        old_interval = sys.getswitchinterval()
+        spinner = threading.Thread(target=spin, daemon=True)
+        threading.excepthook = errors.append
+        sys.setswitchinterval(1e-6)
+        spinner.start()
+        try:
+            for run in range(10):
+                sup = ProcSupervisor(_spec(), _config(shards=2))
+                try:
+                    assert sup.wait_ready(60)
+                    ticket = sup.submit("SELECT Make FROM data")
+                    assert ticket.wait(60) and ticket.outcome == "ok"
+                    report = sup.drain(grace_s=5.0)
+                finally:
+                    sup.close(wait=False)
+                chaos = sup.chaos_stats()
+                assert chaos["total_deaths"] == 0, (run, chaos)
+                assert report["clean"], (run, report)
+                assert report["exitcodes"] == {"s0": 0, "s1": 0}, (
+                    run, report,
+                )
+        finally:
+            stop.set()
+            spinner.join(5)
+            sys.setswitchinterval(old_interval)
+            threading.excepthook = old_hook
+        assert not spinner.is_alive()
+        assert not errors, [(e.thread.name, e.exc_value) for e in errors]
 
 
 class TestCrashRecovery:
