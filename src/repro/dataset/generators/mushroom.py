@@ -26,10 +26,11 @@ structure is present.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.dataset.generators._weighted import option_table
 from repro.dataset.schema import AttrKind, Attribute, Schema
 from repro.dataset.table import Table
 
@@ -60,15 +61,36 @@ class _Node:
     parents: Tuple[str, ...]
     cpt: Mapping[Optional[Tuple[str, ...]], Sequence[Tuple[str, float]]]
 
-    def sample(self, rng: np.random.Generator, assignment: Dict[str, str]) -> str:
-        key = tuple(assignment[p] for p in self.parents)
-        dist = self.cpt.get(key)
-        if dist is None:
-            dist = self.cpt[None]
-        values = [v for v, _ in dist]
-        weights = np.array([w for _, w in dist], dtype=float)
-        weights /= weights.sum()
-        return values[int(rng.choice(len(values), p=weights))]
+    def sample_column(
+        self, uniforms: np.ndarray, columns: Mapping[str, np.ndarray]
+    ) -> np.ndarray:
+        """This node's value for every row, given its parents' columns.
+
+        ``uniforms[r]`` is row ``r``'s draw; a row whose parent values
+        are not a ``cpt`` key uses the ``None`` row.  Every ``cpt`` row
+        is validated, matched by a row or not.
+        """
+        out = np.empty(len(uniforms), dtype=object)
+        unmatched = np.ones(len(uniforms), dtype=bool)
+        tables = {key: option_table(dist) for key, dist in self.cpt.items()}
+        for key, (values, cdf) in tables.items():
+            if key is None:
+                continue
+            rows = unmatched.copy()
+            for parent, value in zip(self.parents, key):
+                rows &= columns[parent] == value
+            unmatched &= ~rows
+            out[rows] = _pick(values, cdf, uniforms[rows])
+        if unmatched.any():
+            values, cdf = tables[None]
+            out[unmatched] = _pick(values, cdf, uniforms[unmatched])
+        return out
+
+
+def _pick(values: Tuple[str, ...], cdf: np.ndarray, uniforms: np.ndarray):
+    return np.array(values, dtype=object)[
+        cdf.searchsorted(uniforms, side="right")
+    ]
 
 
 def _network() -> Tuple[_Node, ...]:
@@ -252,15 +274,16 @@ def generate_mushroom(n: int = 8124, seed: int = 13) -> Table:
     """Generate the synthetic mushroom table (default UCI size, 8124).
 
     Deterministic given (n, seed); ancestral sampling of the network
-    returned by :func:`_network`.
+    returned by :func:`_network`.  Each row takes one uniform per node,
+    in network order, so the whole table is one ``rng.random`` block
+    of shape (n, nodes), mapped node by node through each parent key's
+    cdf — the draws per-row ``rng.choice(p=...)`` calls would make
+    (DESIGN.md section 16).
     """
     nodes = _network()
     rng = np.random.default_rng(seed)
-    data: Dict[str, List[str]] = {node.name: [] for node in nodes}
-    for _ in range(n):
-        assignment: Dict[str, str] = {}
-        for node in nodes:
-            assignment[node.name] = node.sample(rng, assignment)
-        for name, value in assignment.items():
-            data[name].append(value)
-    return Table.from_columns(mushroom_schema(), data)
+    uniforms = rng.random(n * len(nodes)).reshape(n, len(nodes))
+    columns: Dict[str, np.ndarray] = {}
+    for j, node in enumerate(nodes):
+        columns[node.name] = node.sample_column(uniforms[:, j], columns)
+    return Table.from_columns(mushroom_schema(), columns)

@@ -27,11 +27,13 @@ recognizable IUnits.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.dataset.generators._weighted import option_table
 from repro.dataset.schema import AttrKind, Attribute, Schema
 from repro.dataset.table import Table
 
@@ -215,11 +217,43 @@ def usedcars_schema(queriable: Optional[Sequence[str]] = None) -> Schema:
     return schema
 
 
-def _weighted_choice(rng: np.random.Generator, options: Sequence[Tuple[str, float]]) -> str:
-    values = [v for v, _ in options]
-    weights = np.array([w for _, w in options], dtype=float)
-    weights /= weights.sum()
-    return values[int(rng.choice(len(values), p=weights))]
+#: Per-row price and fuel-economy adjustments by engine and drivetrain.
+_ENGINE_PREMIUM = {"V4": 0.0, "V6": 0.04, "V8": 0.09}
+_DRIVE_PREMIUM = {"2WD": 0.0, "AWD": 0.03, "4WD": 0.05}
+_ENGINE_MPG_PENALTY = {"V4": 0.0, "V6": 1.5, "V8": 3.5}
+_DRIVE_MPG_PENALTY = {"2WD": 0.0, "AWD": 0.8, "4WD": 1.2}
+
+
+def _year_windows(catalog: Sequence[CarModel]) -> List[Tuple[int, int]]:
+    """Each model's ``(first, last)`` model year on the market.
+
+    Each trim-level model is prominent for only a short production
+    window (the paper's Sec. 3.1.1 anecdote: "a specific model is
+    prominent in the database for only a short period of time", which
+    is why Model outranks Mileage when the pivot is Year).  Windows are
+    staggered deterministically across the catalog.
+    """
+    span = _CURRENT_YEAR - _MIN_YEAR
+    table1_makes = {"Chevrolet", "Ford", "Honda", "Toyota", "Jeep"}
+    windows = []
+    for i, m in enumerate(catalog):
+        length = 2 + (i * 5) % 3  # 2..4 model years
+        if m.body == "SUV" and m.make in table1_makes:
+            # keep the Table 1 vehicles on the market in recent years so
+            # the paper's running example (recent low-mileage SUVs from
+            # these five makes) stays reproducible
+            hi = _CURRENT_YEAR - i % 2
+        else:
+            hi = _CURRENT_YEAR - (i * 3) % (span - length)
+        windows.append((hi - length + 1, hi))
+    return windows
+
+
+def _bisect_table(
+    options: Sequence[Tuple[str, float]],
+) -> Tuple[Tuple[str, ...], List[float]]:
+    values, cdf = option_table(options)
+    return values, cdf.tolist()
 
 
 def generate_usedcars(
@@ -237,34 +271,31 @@ def generate_usedcars(
     seed:
         RNG seed — generation is fully deterministic given (n, seed).
     catalog:
-        Vehicle catalog; defaults to :data:`CAR_CATALOG`.
+        Vehicle catalog; defaults to :data:`CAR_CATALOG`.  Every
+        model's option lists are validated up front, drawn or not.
     queriable:
         Optional list of queriable attribute names (see
         :func:`usedcars_schema`).
+
+    Each row draws, in this order: a gamma (age), two normals
+    (mileage), one uniform each for engine, drivetrain, transmission
+    and color, and two normals (price, fuel economy).  Gamma and normal
+    draws consume a variable number of RNG words, so the rows stay a
+    loop; a weighted pick is one ``rng.random()`` looked up in its
+    option list's cdf, which is the draw ``rng.choice(p=...)`` makes
+    (DESIGN.md section 16).
     """
     rng = np.random.default_rng(seed)
     pop = np.array([m.popularity for m in catalog], dtype=float)
     pop /= pop.sum()
     model_idx = rng.choice(len(catalog), size=n, p=pop)
 
-    # Each trim-level model is prominent for only a short production
-    # window (the paper's Sec. 3.1.1 anecdote: "a specific model is
-    # prominent in the database for only a short period of time", which
-    # is why Model outranks Mileage when the pivot is Year).  Windows are
-    # staggered deterministically across the catalog.
-    span = _CURRENT_YEAR - _MIN_YEAR
-    table1_makes = {"Chevrolet", "Ford", "Honda", "Toyota", "Jeep"}
-    windows = []
-    for i, m in enumerate(catalog):
-        length = 2 + (i * 5) % 3  # 2..4 model years
-        if m.body == "SUV" and m.make in table1_makes:
-            # keep the Table 1 vehicles on the market in recent years so
-            # the paper's running example (recent low-mileage SUVs from
-            # these five makes) stays reproducible
-            hi = _CURRENT_YEAR - i % 2
-        else:
-            hi = _CURRENT_YEAR - (i * 3) % (span - length)
-        windows.append((hi - length + 1, hi))
+    windows = _year_windows(catalog)
+    engine_tables = [_bisect_table(m.engines) for m in catalog]
+    drive_tables = [_bisect_table(m.drivetrains) for m in catalog]
+    color_values, color_cdf = _bisect_table(_COLORS)
+    max_age = _CURRENT_YEAR - _MIN_YEAR
+    gamma, normal, random = rng.gamma, rng.normal, rng.random
 
     makes: List[str] = []
     models: List[str] = []
@@ -278,7 +309,7 @@ def generate_usedcars(
     colors: List[str] = []
     mpgs = np.empty(n)
 
-    for i, mi in enumerate(model_idx):
+    for i, mi in enumerate(model_idx.tolist()):
         m = catalog[mi]
         makes.append(m.make)
         models.append(m.model)
@@ -287,49 +318,44 @@ def generate_usedcars(
         # Age skews young: used-listing sites are dominated by recent
         # cars — but the year must fall inside the model's window.
         lo_year, hi_year = windows[mi]
-        age = min(
-            _CURRENT_YEAR - _MIN_YEAR,
-            int(rng.gamma(shape=2.0, scale=1.8)),
-        )
-        year = int(np.clip(_CURRENT_YEAR - age, lo_year, hi_year))
+        age = min(max_age, int(gamma(2.0, 1.8)))
+        year = min(max(_CURRENT_YEAR - age, lo_year), hi_year)
         age = _CURRENT_YEAR - year
         years[i] = year
 
         # Mileage ~ 8K-17K miles/year: drivers vary a lot, so mileage is a
         # noisy proxy for age (as in real listings).
-        per_year = rng.normal(12_500, 4_500)
-        mileage = max(500.0, age * per_year + rng.normal(0, 8_000) + 6_000)
+        per_year = normal(12_500, 4_500)
+        mileage = max(500.0, age * per_year + normal(0, 8_000) + 6_000)
         mileages[i] = round(mileage, -2)
 
-        engine = _weighted_choice(rng, m.engines)
+        values, cdf = engine_tables[mi]
+        engine = values[bisect_right(cdf, random())]
         engines.append(engine)
-        drivetrain = _weighted_choice(rng, m.drivetrains)
+        values, cdf = drive_tables[mi]
+        drivetrain = values[bisect_right(cdf, random())]
         drivetrains.append(drivetrain)
 
         # Manual transmissions are rare and concentrated in small engines.
         p_manual = 0.12 if engine == "V4" else 0.04
-        transmissions.append(
-            "Manual" if rng.random() < p_manual else "Automatic"
-        )
-        colors.append(_weighted_choice(rng, _COLORS))
+        transmissions.append("Manual" if random() < p_manual else "Automatic")
+        colors.append(color_values[bisect_right(color_cdf, random())])
 
         # Price: exponential depreciation in age plus mileage penalty.
-        engine_premium = {"V4": 0.0, "V6": 0.04, "V8": 0.09}[engine]
-        drive_premium = {"2WD": 0.0, "AWD": 0.03, "4WD": 0.05}[drivetrain]
         value = (
             m.base_price
-            * (1.0 + engine_premium + drive_premium)
+            * (1.0 + _ENGINE_PREMIUM[engine] + _DRIVE_PREMIUM[drivetrain])
             * (0.85 ** age)
             * (1.0 - min(0.25, mileage / 600_000.0))
         )
-        prices[i] = max(1_500.0, round(value * rng.normal(1.0, 0.06), -2))
+        prices[i] = max(1_500.0, round(value * normal(1.0, 0.06), -2))
 
         # Fuel economy: model anchor, engine penalty, drivetrain penalty.
         mpg = (
             m.mpg_base
-            - {"V4": 0.0, "V6": 1.5, "V8": 3.5}[engine]
-            - {"2WD": 0.0, "AWD": 0.8, "4WD": 1.2}[drivetrain]
-            + rng.normal(0, 0.8)
+            - _ENGINE_MPG_PENALTY[engine]
+            - _DRIVE_MPG_PENALTY[drivetrain]
+            + normal(0, 0.8)
         )
         mpgs[i] = round(max(10.0, mpg), 1)
 

@@ -129,6 +129,29 @@ from repro.serve.proc.worker import PIPE_DROP_EXIT, WorkerSpec, worker_main
 
 __all__ = ["ProcServeConfig", "ProcSupervisor", "RemoteStatementError"]
 
+#: Serializes every ``waitpid`` the parent makes on worker processes.
+#: ``Process.start()`` polls every live child of the process
+#: (``multiprocessing.process._cleanup``), so one shard's spawn races
+#: the death path reaping another shard's worker: the thread whose
+#: ``waitpid`` loses gets ECHILD and reads the exit code as ``None``,
+#: and a pipe drop is classed as a crash.  Module-level because the
+#: children are the process's, not one supervisor's.  Blocking waits
+#: on a worker happen on its sentinel, outside the lock, so a dying
+#: worker never delays a spawn.
+_REAP_LOCK = threading.Lock()
+
+
+def _reap(process, timeout: float) -> Optional[int]:
+    """``process``'s exit code, waiting at most ``timeout`` for it to
+    exit; ``None`` if it is still running."""
+    if not connection.wait([process.sentinel], timeout):
+        return None
+    with _REAP_LOCK:
+        # the sentinel fired, so the process is exiting: this blocking
+        # waitpid returns as soon as the kernel has its status
+        process.join()
+        return process.exitcode
+
 
 class RemoteStatementError(ServeError):
     """A statement failed inside a worker; this is the wire-level echo.
@@ -847,7 +870,8 @@ class ProcSupervisor:
             name=f"repro-worker-s{shard_idx}g{incarnation}",
             daemon=True,
         )
-        process.start()
+        with _REAP_LOCK:
+            process.start()  # polls (may reap) every child: see _REAP_LOCK
         child_conn.close()
         handle = _WorkerHandle(
             shard_idx, incarnation, process, parent_conn, self._now()
@@ -909,29 +933,29 @@ class ProcSupervisor:
         """The one-shot death path of a worker incarnation.
 
         Whoever notices first claims it; everyone else returns at once.
-        It is the process's only reaper: ``Popen.poll`` from two
-        threads loses the exit code to the ``waitpid`` race.
-        ``cause=None`` means the process ended on its own: exit 0 (only
-        the worker's clean shutdown exits 0) is a drain,
-        :data:`PIPE_DROP_EXIT` a pipe drop, anything else a crash.
+        It is the incarnation's only reaper, and it reaps through
+        :func:`_reap` (see :data:`_REAP_LOCK`).  ``cause=None`` means
+        the process ended on its own: exit 0 (only the worker's clean
+        shutdown exits 0) is a drain, :data:`PIPE_DROP_EXIT` a pipe
+        drop, anything else a crash.
         """
         with self._lock:
             if handle.down:
                 return
             handle.down = True
         process = handle.process
+        code = _reap(process, 0.5 if cause is None else 0.0)
         if cause is None:
-            process.join(timeout=0.5)
-            code = process.exitcode
             cause = (
                 "drain" if code == 0
                 else "pipe_drop" if code == PIPE_DROP_EXIT
                 else "crash"
             )
-        if process.is_alive():
-            process.kill()
-        process.join(timeout=2.0)
-        handle.exitcode = process.exitcode
+        if code is None:
+            with _REAP_LOCK:
+                process.kill()
+            code = _reap(process, 2.0)
+        handle.exitcode = code
         with self._lock:
             shard = self._shards[handle.shard]
             if shard.handle is handle:

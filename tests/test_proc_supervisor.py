@@ -9,6 +9,7 @@ statement reaches a terminal state, no matter which workers die when.
 
 from __future__ import annotations
 
+import contextlib
 import sys
 import threading
 
@@ -51,6 +52,29 @@ CREATE = (
 )
 
 
+@contextlib.contextmanager
+def _contention():
+    """A spinning thread and a 1 us switch interval, so the supervisor's
+    threads interleave as finely as they can; both undone on exit."""
+    stop = threading.Event()
+
+    def spin():
+        while not stop.is_set():
+            pass
+
+    old_interval = sys.getswitchinterval()
+    spinner = threading.Thread(target=spin, daemon=True)
+    sys.setswitchinterval(1e-6)
+    spinner.start()
+    try:
+        yield
+    finally:
+        stop.set()
+        spinner.join(5)
+        sys.setswitchinterval(old_interval)
+    assert not spinner.is_alive()
+
+
 class TestHappyPath:
     def test_statements_execute_and_drain_clean(self):
         with ProcSupervisor(_spec(), _config(shards=2)) as sup:
@@ -88,41 +112,70 @@ class TestCalmDrainUnderContention:
         one child used to lose its exit code to the waitpid race and
         call a clean drain a crash)."""
         errors = []
-        stop = threading.Event()
-
-        def spin():
-            while not stop.is_set():
-                pass
-
         old_hook = threading.excepthook
-        old_interval = sys.getswitchinterval()
-        spinner = threading.Thread(target=spin, daemon=True)
         threading.excepthook = errors.append
-        sys.setswitchinterval(1e-6)
-        spinner.start()
         try:
-            for run in range(10):
-                sup = ProcSupervisor(_spec(), _config(shards=2))
-                try:
-                    assert sup.wait_ready(60)
-                    ticket = sup.submit("SELECT Make FROM data")
-                    assert ticket.wait(60) and ticket.outcome == "ok"
-                    report = sup.drain(grace_s=5.0)
-                finally:
-                    sup.close(wait=False)
-                chaos = sup.chaos_stats()
-                assert chaos["total_deaths"] == 0, (run, chaos)
-                assert report["clean"], (run, report)
-                assert report["exitcodes"] == {"s0": 0, "s1": 0}, (
-                    run, report,
-                )
+            with _contention():
+                for run in range(10):
+                    sup = ProcSupervisor(_spec(), _config(shards=2))
+                    try:
+                        assert sup.wait_ready(60)
+                        ticket = sup.submit("SELECT Make FROM data")
+                        assert ticket.wait(60) and ticket.outcome == "ok"
+                        report = sup.drain(grace_s=5.0)
+                    finally:
+                        sup.close(wait=False)
+                    chaos = sup.chaos_stats()
+                    assert chaos["total_deaths"] == 0, (run, chaos)
+                    assert report["clean"], (run, report)
+                    assert report["exitcodes"] == {"s0": 0, "s1": 0}, (
+                        run, report,
+                    )
         finally:
-            stop.set()
-            spinner.join(5)
-            sys.setswitchinterval(old_interval)
             threading.excepthook = old_hook
-        assert not spinner.is_alive()
         assert not errors, [(e.thread.name, e.exc_value) for e in errors]
+
+
+class TestRestartRaceExitCodes:
+    ROUNDS = 4
+
+    def test_every_death_keeps_its_exit_code(self):
+        """Both shards crash, then both drop their pipes, round after
+        round, with restarts as fast as the monitor allows: one shard's
+        spawn (``Process.start()`` polls every child) overlaps the other
+        shard's death path.  Every death must still be recorded with
+        the exit code of its cause (the ``waitpid`` that lost the race
+        used to leave ``None``, and a pipe drop was called a crash)."""
+        plan = ",".join(
+            f"proc.worker_crash:{2 * r}=crash*1,"
+            f"proc.pipe_drop:{2 * r + 1}=crash*1"
+            for r in range(self.ROUNDS)
+        )
+        config = _config(
+            shards=2, restart_backoff_base_s=1e-4,
+            restart_backoff_cap_s=1e-3, monitor_interval_s=1e-3,
+        )
+        expected = {"crash": WORKER_CRASH_EXIT, "pipe_drop": PIPE_DROP_EXIT}
+        with _contention():
+            sup = ProcSupervisor(_spec(faults_spec=plan), config)
+            try:
+                assert sup.wait_ready(60)
+                for index in range(2 * self.ROUNDS):
+                    # SHOW CADVIEWS runs on every shard: both die
+                    ticket = sup.submit(
+                        "SHOW CADVIEWS", session="s0", fault_index=index,
+                    )
+                    assert ticket.wait(120) and ticket.outcome == "ok", (
+                        index, ticket.error,
+                    )
+                chaos = sup.chaos_stats()
+            finally:
+                sup.close(wait=False)
+        assert chaos["deaths"] == {
+            "crash": 2 * self.ROUNDS, "pipe_drop": 2 * self.ROUNDS,
+        }, chaos["death_log"]
+        for death in chaos["death_log"]:
+            assert death["exitcode"] == expected[death["cause"]], death
 
 
 class TestCrashRecovery:
