@@ -30,12 +30,7 @@ from typing import Optional
 from repro.core import CADView, CADViewConfig, DBExplorer
 from repro.core.render import render_cadview
 from repro.dataset.table import Table
-from repro.dataset.generators import (
-    generate_mushroom,
-    generate_usedcars,
-    mushroom_schema,
-    usedcars_schema,
-)
+from repro.dataset.generators import load_table
 from repro.errors import (
     AnalysisError,
     BudgetExceededError,
@@ -72,32 +67,21 @@ EXIT_USAGE = 1              # bad flags / unparsable statement / other error
 EXIT_BUILD_FAILED = 2       # the build itself failed (no view produced)
 EXIT_BUDGET_EXHAUSTED = 3   # budget ran out with nothing built
 
-_DEFAULT_ROWS = {"usedcars": 40_000, "mushroom": 8_124}
-
 
 def _load_table(args) -> Table:
-    if args.csv:
-        schema = (
-            usedcars_schema() if args.dataset == "usedcars"
-            else mushroom_schema()
+    try:
+        table = load_table(
+            args.dataset, args.rows, args.seed, args.csv,
+            max_bad_rows=getattr(args, "max_bad_rows", 0),
         )
-        try:
-            table = Table.from_csv(
-                args.csv, schema,
-                max_bad_rows=getattr(args, "max_bad_rows", 0),
-            )
-            for err in table.quarantined:
-                print(f"warning: skipped bad row: {err}", file=sys.stderr)
-            return table
-        except OSError as exc:
-            # a bad --csv path is a usage error, not a crash — and the
-            # artifact flush guards only see ReproError
-            raise ReproError(f"cannot read --csv {args.csv!r}: {exc}") \
-                from exc
-    rows = args.rows or _DEFAULT_ROWS[args.dataset]
-    if args.dataset == "usedcars":
-        return generate_usedcars(rows, seed=args.seed)
-    return generate_mushroom(rows, seed=args.seed)
+    except OSError as exc:
+        # a bad --csv path is a usage error, not a crash — and the
+        # artifact flush guards only see ReproError
+        raise ReproError(f"cannot read --csv {args.csv!r}: {exc}") \
+            from exc
+    for err in table.quarantined:
+        print(f"warning: skipped bad row: {err}", file=sys.stderr)
+    return table
 
 
 def _add_data_args(parser, default_dataset="usedcars") -> None:
@@ -421,39 +405,39 @@ def _replay_defaults_from_header(args, records) -> None:
         args.budget_ms = None
 
 
-def _read_workload(args):
-    """Read the workload log, honoring ``--strict``.
+def _read_workload(args, path: str):
+    """Read the workload log at ``path``, honoring ``--strict``.
 
     Returns ``(records, corrupt_count)``.  Tolerant mode (the default)
     skips undecodable lines with a warning — a writer killed mid-write
     leaves a truncated trailing line, and a crash-recovery replay must
     not choke on the very record whose statement caused the crash.
-    ``--strict`` turns any such line into a usage error instead.
+    ``--strict`` (where the command has it) turns any such line into a
+    usage error instead.
     """
     corrupt: list = []
-    strict = bool(getattr(args, "strict", False))
+    strict = getattr(args, "strict", None)
     try:
         records = read_worklog(
-            args.worklog_file, strict=strict, corrupt_lines=corrupt
+            path, strict=bool(strict), corrupt_lines=corrupt
         )
     except (ValueError, OSError) as exc:
-        raise ReproError(
-            f"cannot read worklog {args.worklog_file!r}: {exc}"
-        ) from exc
+        raise ReproError(f"cannot read worklog {path!r}: {exc}") from exc
+    hint = " (pass --strict to fail instead)" if strict is not None else ""
     for lineno in corrupt:
         print(
-            f"warning: {args.worklog_file}:{lineno}: corrupt worklog "
-            "line skipped (pass --strict to fail instead)",
+            f"warning: {path}:{lineno}: corrupt worklog line skipped"
+            + hint,
             file=sys.stderr,
         )
     return records, len(corrupt)
 
 
-def _guard_self_replay(args) -> None:
+def _guard_self_replay(args, path: str) -> None:
     # guard before _session_worklog opens the file: opening in append
     # mode would stamp a session header onto the log being replayed
     if getattr(args, "worklog", None) and os.path.abspath(args.worklog) \
-            == os.path.abspath(args.worklog_file):
+            == os.path.abspath(path):
         raise ReproError(
             "refusing to replay a worklog into itself; pass a different "
             "--worklog path"
@@ -475,9 +459,9 @@ def cmd_replay(args) -> int:
     replays once more at concurrency 1 against a fresh table and fails
     (exit 2) on any digest mismatch: the zero-wrong-answers gate.
     """
-    records, corrupt = _read_workload(args)
+    records, corrupt = _read_workload(args, args.worklog_file)
     _replay_defaults_from_header(args, records)
-    _guard_self_replay(args)
+    _guard_self_replay(args, args.worklog_file)
     if args.concurrency is not None:
         return _replay_concurrent_cmd(args, records, corrupt)
     tracer = _session_tracer(args)
@@ -612,9 +596,9 @@ def cmd_serve(args) -> int:
             "--state-dir requires --procs (the durable catalog WAL "
             "lives in the multi-process supervisor)"
         )
-    records, corrupt = _read_workload(args)
+    records, corrupt = _read_workload(args, args.worklog_file)
     _replay_defaults_from_header(args, records)
-    _guard_self_replay(args)
+    _guard_self_replay(args, args.worklog_file)
     if args.procs is not None:
         return _serve_procs(args, records, corrupt)
     try:
@@ -1320,26 +1304,9 @@ def _profile_session(args) -> int:
     """The ``profile --session LOG`` path: a replay under the sampler."""
     from repro.obs import SamplingProfiler
 
-    corrupt: list = []
-    try:
-        records = read_worklog(args.session, corrupt_lines=corrupt)
-    except (ValueError, OSError) as exc:
-        raise ReproError(
-            f"cannot read worklog {args.session!r}: {exc}"
-        ) from exc
-    for lineno in corrupt:
-        print(
-            f"warning: {args.session}:{lineno}: corrupt worklog "
-            "line skipped",
-            file=sys.stderr,
-        )
+    records, _ = _read_workload(args, args.session)
     _replay_defaults_from_header(args, records)
-    if getattr(args, "worklog", None) and os.path.abspath(args.worklog) \
-            == os.path.abspath(args.session):
-        raise ReproError(
-            "refusing to profile a worklog into itself; pass a "
-            "different --worklog path"
-        )
+    _guard_self_replay(args, args.session)
     # always trace: span frames are what makes the flamegraph semantic
     tracer = _session_tracer(args) or Tracer("session", command="profile")
     worklog = _session_worklog(args)

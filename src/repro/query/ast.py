@@ -50,6 +50,7 @@ __all__ = [
     "DropCadViewStatement",
     "ExplainStatement",
     "OrderKey",
+    "catalog_write",
 ]
 
 
@@ -155,3 +156,20 @@ class ExplainStatement(Statement):
     inner: Statement
     analyze: bool = False
     check: bool = False
+
+
+def catalog_write(stmt: Statement) -> Optional[Tuple[str, str]]:
+    """``("create"|"drop"|"reorder", view)`` if running ``stmt`` changes
+    the CAD View catalog, else ``None``: the one rule journaling,
+    routing and recovery follow.  ``EXPLAIN ANALYZE`` executes its inner
+    statement; plain ``EXPLAIN`` and ``EXPLAIN CHECK`` execute nothing.
+    """
+    if isinstance(stmt, ExplainStatement):
+        return catalog_write(stmt.inner) if stmt.analyze else None
+    if isinstance(stmt, CreateCadViewStatement):
+        return ("create", stmt.name)
+    if isinstance(stmt, DropCadViewStatement):
+        return ("drop", stmt.name)
+    if isinstance(stmt, ReorderRowsStatement):
+        return ("reorder", stmt.view)
+    return None

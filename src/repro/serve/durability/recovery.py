@@ -23,12 +23,11 @@ state a previous process carried in memory:
    rather than silently dropping acked mutations.  A sequence gap
    (``seq`` jumps) is refused the same way.
 
-:func:`compact_journal` is the semantic compaction both the snapshot
-path and the torture harness use: ``DROP v`` annihilates every earlier
-entry targeting ``v`` (and itself); a re-``CREATE`` supersedes the
-view's earlier entries.  Replaying a compacted journal produces a
-catalog identical to replaying the full history — which is precisely
-what makes snapshot truncation safe.
+:class:`CatalogJournal` is a shard's catalog journal, compacted as
+each mutation lands: ``DROP v`` removes ``v``'s entries (and itself),
+a re-``CREATE`` supersedes them.  Replaying a compacted journal builds
+the catalog the full history builds — which is precisely what makes
+snapshot truncation safe.  Recovery returns the raw WAL tail.
 """
 
 from __future__ import annotations
@@ -38,14 +37,10 @@ import json
 import os
 import re
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.errors import RecoveryError
-from repro.query.ast import (
-    CreateCadViewStatement,
-    DropCadViewStatement,
-    ReorderRowsStatement,
-)
+from repro.query.ast import catalog_write
 from repro.query.parser import parse
 from repro.serve.durability.records import (
     WAL_MAGIC,
@@ -58,7 +53,8 @@ from repro.serve.durability.wal import (
     _segment_ordinal,
 )
 
-__all__ = ["RecoveredState", "recover_state", "compact_journal"]
+__all__ = ["CatalogJournal", "RecoveredState", "compact_journal",
+           "journal_write", "recover_state", "route_write"]
 
 _TMP_RE = re.compile(r"^\..*\.tmp\.\d+$")
 
@@ -192,40 +188,49 @@ def recover_state(
     return state
 
 
+class CatalogJournal:
+    """One shard's catalog journal, compacted as each mutation lands.
+
+    Each kept entry is held with the view it writes, so an append never
+    re-parses the journal; ``entries`` given here are parsed once each.
+    """
+
+    def __init__(self, entries: Iterable[Tuple[str, str]] = ()):
+        self._kept: List[Tuple[Tuple[str, str], Optional[str]]] = []
+        for sql, session in entries:
+            self.append(sql, session, journal_write(sql))
+
+    @property
+    def entries(self) -> List[Tuple[str, str]]:
+        """A copy of the kept ``(sql, session)`` list: what a fresh
+        worker replays and a snapshot stores."""
+        return [entry for entry, _ in self._kept]
+
+    def append(
+        self, sql: str, session: str, write: Optional[Tuple[str, str]]
+    ) -> None:
+        """Fold in one acked mutation whose catalog write is ``write``:
+        ``DROP v`` removes ``v``'s entries and is not kept, ``CREATE v``
+        replaces them, ``REORDER`` appends, and an entry that does not
+        parse (``write`` None) is conservatively kept."""
+        view = write[1] if write is not None else None
+        if write is not None and write[0] in ("create", "drop"):
+            self._kept = [kept for kept in self._kept if kept[1] != view]
+        if write is None or write[0] != "drop":
+            self._kept.append(((sql, session), view))
+
+
 def compact_journal(
     entries: List[Tuple[str, str]],
 ) -> List[Tuple[str, str]]:
-    """Semantically compact one shard's catalog journal.
-
-    The result replays to the identical catalog: a ``DROP`` removes
-    every earlier entry targeting its view and contributes nothing
-    itself; a re-``CREATE`` supersedes the view's earlier entries.
-    Statements that do not parse (they were acked, so this would take
-    a grammar change mid-flight) are conservatively kept.
-    """
-    compacted: List[Tuple[str, str]] = []
-    for sql, session in entries:
-        target = _statement_view(sql)
-        if target is None:
-            compacted.append((sql, session))
-            continue
-        kind, view = target
-        if kind in ("create", "drop"):
-            compacted = [
-                entry for entry in compacted
-                if _statement_view(entry[0]) is None
-                or _statement_view(entry[0])[1] != view
-            ]
-        if kind != "drop":
-            compacted.append((sql, session))
-    return compacted
+    """Semantically compact one shard's catalog journal: the entries
+    a :class:`CatalogJournal` keeps after folding ``entries`` in."""
+    return CatalogJournal(entries).entries
 
 
-# -- internals -------------------------------------------------------------
-
-
-def _statement_view(sql: str) -> Optional[Tuple[str, str]]:
-    """``("create"|"drop"|"reorder", view)`` for catalog mutations."""
+def journal_write(sql: str) -> Optional[Tuple[str, str]]:
+    """:func:`~repro.query.ast.catalog_write` of one journal entry's
+    statement (``None`` if it does not parse)."""
     try:
         stmt = parse(sql)
     # the None return *is* the record of the fault: the caller
@@ -233,13 +238,23 @@ def _statement_view(sql: str) -> Optional[Tuple[str, str]]:
     # repro-lint: ignore[RL004]
     except Exception:
         return None
-    if isinstance(stmt, CreateCadViewStatement):
-        return ("create", stmt.name)
-    if isinstance(stmt, DropCadViewStatement):
-        return ("drop", stmt.name)
-    if isinstance(stmt, ReorderRowsStatement):
-        return ("reorder", stmt.view)
-    return None
+    return catalog_write(stmt)
+
+
+def route_write(
+    view_shard: Dict[str, int],
+    write: Optional[Tuple[str, str]],
+    shard: int,
+) -> None:
+    """Move a view -> shard routing map by one catalog write on
+    ``shard``: a ``CREATE`` maps its view there, a ``DROP`` unmaps it."""
+    if write is not None and write[0] == "create":
+        view_shard[write[1]] = shard
+    elif write is not None and write[0] == "drop":
+        view_shard.pop(write[1], None)
+
+
+# -- internals -------------------------------------------------------------
 
 
 def _clean_tmp_files(
@@ -357,11 +372,4 @@ def _apply_record(state: RecoveredState, record: WalRecord) -> None:
     state.journals.setdefault(record.shard, []).append(
         (record.sql, record.session)
     )
-    target = _statement_view(record.sql)
-    if target is None:
-        return
-    kind, view = target
-    if kind == "create":
-        state.view_shard[view] = record.shard
-    elif kind == "drop":
-        state.view_shard.pop(view, None)
+    route_write(state.view_shard, journal_write(record.sql), record.shard)

@@ -56,7 +56,11 @@ import sys
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.errors import RecoveryError
-from repro.serve.durability.recovery import compact_journal, recover_state
+from repro.serve.durability.recovery import (
+    compact_journal,
+    journal_write,
+    recover_state,
+)
 from repro.serve.durability.wal import ACK_LOG_ENV
 
 __all__ = [
@@ -75,7 +79,7 @@ SITES = (
 
 # The torture workload: six catalog mutations (seq 1..6 in the WAL)
 # interleaved with reads, exercising create / reorder / re-create /
-# drop so snapshot compaction has real work to do.
+# drop so journal compaction has real work to do.
 _TORTURE_STATEMENTS = (
     "SELECT Make FROM data",
     "CREATE CADVIEW torture_a AS SET pivot = Make "
@@ -376,8 +380,7 @@ def _ensure_mutations(
                 record = json.loads(line)
                 if record.get("kind") != "statement":
                     continue
-                sql = str(record.get("statement", "")).lstrip().upper()
-                if sql.startswith(("CREATE", "DROP", "REORDER")):
+                if journal_write(str(record.get("statement", ""))):
                     mutations += 1
     except (OSError, ValueError):
         mutations = 0

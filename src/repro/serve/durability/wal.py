@@ -20,8 +20,9 @@ The log is a sequence of *segments* (``wal-<n>.log``); when the active
 segment passes ``segment_max_bytes`` it is sealed (flushed, fsync'd,
 closed) and a fresh one opened.  Every ``snapshot_every`` records the
 writer asks its ``snapshot_cb`` for a full catalog image (the
-supervisor compacts its in-memory journals and hands them over), seals
-the active segment, writes ``snapshot-<seq>.json`` via the atomic
+supervisor hands over copies of its in-memory journals, which it
+compacts as each mutation lands, not in the callback), seals the
+active segment, writes ``snapshot-<seq>.json`` via the atomic
 tmp + fsync + ``os.replace`` dance, and deletes the snapshots and
 sealed segments the new image supersedes — bounding recovery time and
 disk growth without ever rewriting a log in place.
@@ -135,12 +136,13 @@ class WalWriter:
 
     ``snapshot_cb`` (when given) must return the full catalog image as
     ``{"shards": int, "view_shard": {name: shard}, "journals":
-    {shard: [[sql, session], ...]}}`` — the supervisor compacts its
-    journals inside the callback, under its own lock.  The writer
-    never takes the supervisor's lock while the supervisor holds the
-    writer's: commits are issued *outside* the supervisor lock, so the
-    only cross-lock edge is writer -> supervisor (inside the snapshot
-    callback), which cannot deadlock.
+    {shard: [[sql, session], ...]}}`` — the supervisor copies its
+    already-compacted journals under its own lock and does no
+    compaction inside the callback.  The writer never takes the
+    supervisor's lock while the supervisor holds the writer's: commits
+    are issued *outside* the supervisor lock, so the only cross-lock
+    edge is writer -> supervisor (inside the snapshot callback), which
+    cannot deadlock.
     """
 
     def __init__(

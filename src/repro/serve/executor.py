@@ -17,7 +17,8 @@ What happens to an admitted statement:
 2. A **worker thread** picks the ticket up.  If a per-dataset
    :class:`~repro.serve.breaker.CircuitBreaker` is open, the build is
    short-circuited onto the PR-1 degradation ladder: it runs under the
-   tight ``open_budget`` instead of the full pipeline budget.
+   tight :func:`~repro.serve.breaker.default_open_budget` instead of
+   the full pipeline budget.
 3. The **watchdog thread** enforces the per-query wall-clock deadline
    by tripping the ticket's :class:`~repro.robustness.CancelToken`;
    the build notices at its next budget checkpoint and raises
@@ -52,14 +53,7 @@ import random
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import (
-    TYPE_CHECKING,
-    Callable,
-    Dict,
-    List,
-    Optional,
-    Union,
-)
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional
 
 from repro.errors import (
     AnalysisError,
@@ -86,7 +80,6 @@ from repro.serve.breaker import (
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids serve<->core cycle
     from repro.core.explorer import DBExplorer, Session
     from repro.robustness.report import BuildReport
-    from repro.serve.proc.worker import WorkerSpec
 
 __all__ = [
     "ServeConfig", "SessionExecutor", "StatementTicket", "OUTCOMES",
@@ -102,6 +95,14 @@ OUTCOMES = ("ok", "degraded", "rejected", "failed")
 # that failed to converge, and I/O hiccups.  Semantic failures (parse /
 # analysis / build errors) are deterministic and never retried.
 _TRANSIENT_ERRORS = (ConvergenceError, RuntimeError, OSError)
+
+# Exponential backoff between transient retries, for both transports:
+# attempt ``n`` sleeps ``min(cap, base * 2**n)`` scaled by a jitter in
+# ``[0.5, 1.0)`` seeded from ``(seed, statement index, attempt)``, so
+# reruns back off identically.
+_BACKOFF_BASE_S = 0.02
+_BACKOFF_CAP_S = 0.5
+_RETRY_JITTER_SEED = 0
 
 
 @dataclass(frozen=True)
@@ -119,19 +120,16 @@ class ServeConfig:
         wait counts); ``None`` disables the watchdog.
     max_retries:
         Extra attempts for transient failures (injected crashes,
-        convergence errors) before the ticket fails.
-    backoff_base_s / backoff_cap_s / retry_jitter_seed:
-        Exponential backoff between retries: attempt ``n`` sleeps
-        ``min(cap, base * 2**n)`` scaled by a deterministic jitter in
-        ``[0.5, 1.0)`` seeded from ``(retry_jitter_seed, statement
-        index, attempt)`` — reruns back off identically.
+        convergence errors) before the ticket fails, each after a
+        deterministic jittered backoff (20 ms doubling, capped at
+        0.5 s).
     breaker:
         Per-dataset circuit-breaker policy; ``None`` disables breakers
         entirely (deterministic replay does this — breaker state would
-        otherwise depend on cross-statement completion order).
-    open_budget:
-        The tight budget a build runs under while its dataset's breaker
-        is open (the short-circuit to the degradation ladder).
+        otherwise depend on cross-statement completion order).  While a
+        dataset's breaker is open its builds run under the tight
+        :func:`~repro.serve.breaker.default_open_budget` (the
+        short-circuit to the degradation ladder).
     watchdog_interval_s:
         How often the watchdog scans outstanding deadlines.
     """
@@ -140,11 +138,7 @@ class ServeConfig:
     queue_limit: int = 8
     deadline_s: Optional[float] = None
     max_retries: int = 2
-    backoff_base_s: float = 0.02
-    backoff_cap_s: float = 0.5
-    retry_jitter_seed: int = 0
     breaker: Optional[BreakerConfig] = field(default_factory=BreakerConfig)
-    open_budget: Budget = field(default_factory=default_open_budget)
     watchdog_interval_s: float = 0.005
 
     def __post_init__(self) -> None:
@@ -197,7 +191,7 @@ class StatementTicket:
         self.kind: Optional[str] = None       # statement_kind, once parsed
         self.dataset: Optional[str] = None    # breaker key, builds only
         self.attempts = 0
-        self.short_circuited = False          # ran under open_budget
+        self.short_circuited = False          # ran under the open budget
         self.probe = False                    # was the half-open probe
         self.result: Optional[object] = None
         self.error: Optional[BaseException] = None
@@ -425,24 +419,23 @@ def execute_with_retries(
     cancel: CancelToken,
     faults: FaultInjector,
     budget: Optional[Budget],
-    retry: Union[ServeConfig, "WorkerSpec"],
+    max_retries: int,
     jitter_index: int,
     sleep: Callable[[float], None],
 ) -> Execution:
-    """Run one statement under the transient-retry policy of ``retry``.
+    """Run one statement under the transient-retry policy.
 
     Each attempt fires the ``serve.slow_worker`` site, then runs
     ``dbx.execute`` (one injector across attempts, so counting faults
-    expire).  Transient errors retry up to ``retry.max_retries`` times
-    after a backoff jittered by ``jitter_index``; anything else ends
-    the statement.  ``retry`` is a :class:`ServeConfig` or a
-    :class:`~repro.serve.proc.worker.WorkerSpec`.
+    expire).  Transient errors retry up to ``max_retries`` times after
+    a backoff jittered by ``jitter_index``; anything else ends the
+    statement.
     """
     report_before = session.last_report
     result: Optional[object] = None
     error: Optional[BaseException] = None
     executed = False
-    for attempt in range(retry.max_retries + 1):
+    for attempt in range(max_retries + 1):
         executed = False
         try:
             cancel.raise_if_cancelled()
@@ -460,9 +453,9 @@ def execute_with_retries(
             break
         except _TRANSIENT_ERRORS as exc:
             error = exc
-            if attempt == retry.max_retries or cancel.cancelled:
+            if attempt == max_retries or cancel.cancelled:
                 break
-            sleep(_backoff_s(retry, jitter_index, attempt))
+            sleep(_backoff_s(jitter_index, attempt))
         # not swallowed: the error is the statement's terminal state
         # repro-lint: ignore[RL004]
         except BaseException as exc:
@@ -476,13 +469,10 @@ def execute_with_retries(
     )
 
 
-def _backoff_s(
-    retry: Union[ServeConfig, "WorkerSpec"], index: int, attempt: int
-) -> float:
-    # the formula ServeConfig documents, for both transports
-    base = min(retry.backoff_cap_s, retry.backoff_base_s * (2.0 ** attempt))
+def _backoff_s(index: int, attempt: int) -> float:
+    base = min(_BACKOFF_CAP_S, _BACKOFF_BASE_S * (2.0 ** attempt))
     rng = random.Random(
-        retry.retry_jitter_seed * 1_000_003 + index * 1_009 + attempt
+        _RETRY_JITTER_SEED * 1_000_003 + index * 1_009 + attempt
     )
     return base * (0.5 + rng.random() / 2.0)
 
@@ -666,14 +656,15 @@ class SessionExecutor:
                 # ladder instead of burning this thread on a dataset
                 # that keeps failing
                 ticket.short_circuited = True
-                budget_override = self.config.open_budget
+                budget_override = default_open_budget()
                 self._metrics.counter("serve.breaker.short_circuit").inc()
 
         session = self.dbx.session(ticket.session)
         start = self._now()
         run = execute_with_retries(
             self.dbx, session, ticket.sql, ticket.cancel, ticket.faults,
-            budget_override, self.config, ticket.index, self._sleep,
+            budget_override, self.config.max_retries, ticket.index,
+            self._sleep,
         )
         elapsed = self._now() - start
         with self._lock:

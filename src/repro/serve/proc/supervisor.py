@@ -94,9 +94,9 @@ from repro.query.ast import (
     ReorderRowsStatement,
     SelectStatement,
     ShowCadViewsStatement,
+    catalog_write,
 )
 from repro.query.parser import parse
-from repro.robustness.budget import Budget
 from repro.robustness.faults import FaultInjector
 from repro.serve.breaker import (
     BreakerBoard,
@@ -104,7 +104,11 @@ from repro.serve.breaker import (
     breaker_key,
     default_open_budget,
 )
-from repro.serve.durability.recovery import compact_journal, recover_state
+from repro.serve.durability.recovery import (
+    CatalogJournal,
+    recover_state,
+    route_write,
+)
 from repro.serve.durability.wal import WalWriter
 from repro.serve.executor import (
     StatementTicket,
@@ -139,6 +143,10 @@ __all__ = ["ProcServeConfig", "ProcSupervisor", "RemoteStatementError"]
 #: on a worker happen on its sentinel, outside the lock, so a dying
 #: worker never delays a spawn.
 _REAP_LOCK = threading.Lock()
+
+#: How long a fresh incarnation may spend building its table and
+#: replaying its journal before the monitor counts it as hung.
+_READY_TIMEOUT_S = 60.0
 
 
 def _reap(process, timeout: float) -> Optional[int]:
@@ -193,16 +201,15 @@ class ProcServeConfig:
         response resets the count.
     heartbeat_interval_s / heartbeat_timeout_s:
         Worker beat cadence, and how stale a beat may go before the
-        monitor declares the worker hung and SIGKILLs it.
-    ready_timeout_s:
-        How long a fresh incarnation may spend building its table and
-        replaying the journal before it counts as hung.
+        monitor declares the worker hung and SIGKILLs it.  A worker
+        whose pipe reached end of file is given as long to exit.
     monitor_interval_s:
         Monitor scan cadence (heartbeats, restarts, deadlines).
-    breaker / open_budget:
-        Per-``dataset@shard.incarnation`` circuit-breaker policy and
-        the short-circuit budget; ``None`` disables breakers
-        (deterministic replay does).
+    breaker:
+        Per-``dataset@shard.incarnation`` circuit-breaker policy; an
+        open breaker runs builds under
+        :func:`~repro.serve.breaker.default_open_budget`.  ``None``
+        disables breakers (deterministic replay does).
     drain_grace_s:
         How long :meth:`ProcSupervisor.drain` lets in-flight work
         finish before cancelling it.
@@ -220,11 +227,7 @@ class ProcServeConfig:
         so batch == record).
     wal_segment_max_bytes / wal_snapshot_every:
         Segment rotation threshold and how many records may accumulate
-        before a snapshot compaction.
-    journal_warn_len:
-        One-time warning threshold for a shard's in-memory journal
-        length (compaction resets the count); growth past it means
-        snapshots are not keeping up.
+        before a snapshot.
     """
 
     shards: int = 1
@@ -235,16 +238,13 @@ class ProcServeConfig:
     restart_backoff_cap_s: float = 2.0
     heartbeat_interval_s: float = 0.25
     heartbeat_timeout_s: float = 2.0
-    ready_timeout_s: float = 60.0
     monitor_interval_s: float = 0.02
     breaker: Optional[BreakerConfig] = field(default_factory=BreakerConfig)
-    open_budget: Budget = field(default_factory=default_open_budget)
     drain_grace_s: float = 5.0
     state_dir: Optional[str] = None
     fsync_interval_ms: float = 0.0
     wal_segment_max_bytes: int = 1 << 20
     wal_snapshot_every: int = 64
-    journal_warn_len: int = 256
 
     def __post_init__(self) -> None:
         if self.shards < 1:
@@ -280,11 +280,6 @@ class ProcServeConfig:
                 "wal_segment_max_bytes and wal_snapshot_every "
                 "must be >= 1"
             )
-        if self.journal_warn_len < 1:
-            raise ValueError(
-                f"journal_warn_len must be >= 1, "
-                f"got {self.journal_warn_len}"
-            )
 
 
 class _Request:
@@ -293,11 +288,11 @@ class _Request:
     __slots__ = (
         "state", "shard", "sql", "session", "part", "req_id",
         "fault_index", "proc_attempt", "probe", "short_circuited",
-        "breaker", "journal", "primary", "incarnation", "span",
+        "breaker", "write", "primary", "incarnation", "span",
     )
 
     def __init__(self, state, shard, sql, session, part, req_id,
-                 fault_index, journal, primary):
+                 fault_index, write, primary):
         self.state = state
         self.shard = shard
         self.sql = sql
@@ -309,7 +304,7 @@ class _Request:
         self.probe = False
         self.short_circuited = False
         self.breaker = None
-        self.journal = journal
+        self.write = write      # catalog_write(); None: not journaled
         self.primary = primary
         self.incarnation = -1
         self.span: Optional[Span] = None
@@ -343,17 +338,16 @@ class _Shard:
     """Everything the supervisor tracks about one shard slot."""
 
     __slots__ = ("index", "handle", "pending", "journal", "failures",
-                 "restart_at", "next_incarnation", "journal_warned")
+                 "restart_at", "next_incarnation")
 
     def __init__(self, index: int):
         self.index = index
         self.handle: Optional[_WorkerHandle] = None
         self.pending: Deque[_Request] = deque()
-        self.journal: List[Tuple[str, str]] = []
+        self.journal = CatalogJournal()
         self.failures = 0          # consecutive deaths since last response
         self.restart_at = 0.0
         self.next_incarnation = 0
-        self.journal_warned = False  # one-time growth warning latch
 
 
 class _WorkerHandle:
@@ -430,7 +424,7 @@ class ProcSupervisor:
         self._draining = False
         self._drain_report: Optional[Dict[str, object]] = None
         self._faults = (
-            FaultInjector.parse(spec.faults_spec, seed=spec.fault_seed)
+            FaultInjector.parse(spec.faults_spec)
             if spec.faults_spec else None
         )
         self._breakers: Optional[BreakerBoard] = (
@@ -486,8 +480,6 @@ class ProcSupervisor:
                     f"but only {self.config.shards} shard(s) are "
                     f"configured; restart with a matching --procs"
                 )
-            for shard_idx, entries in rec.journals.items():
-                self._shards[shard_idx].journal = list(entries)
             self._view_shard.update(rec.view_shard)
             # repro-lint: ignore[RL007] — startup, pre-thread (no racers)
             self._recovery_info = rec.as_dict()
@@ -503,8 +495,11 @@ class ProcSupervisor:
                 print(f"[repro.serve] WAL recovery: {warning}",
                       file=sys.stderr)
             with self._lock:
-                for s in self._shards:
-                    self._note_journal_len_locked(s)
+                for shard in self._shards:
+                    shard.journal = CatalogJournal(
+                        rec.journals.get(shard.index, ())
+                    )
+                    self._note_journal_len_locked(shard)
         # repro-lint: ignore[RL007] — startup, pre-thread (no racers)
         self._wal = WalWriter(
             state_dir,
@@ -519,47 +514,32 @@ class ProcSupervisor:
         )
 
     def _wal_snapshot_image(self) -> Dict[str, object]:
-        """The full catalog image for one snapshot compaction.
+        """The full catalog image for one snapshot: the journals as
+        they are (each mutation was compacted in as it became durable).
 
         Called by the WAL writer *holding the WAL lock*; the lock order
         WAL -> supervisor is the only one used anywhere (the supervisor
         always calls into the WAL with its own lock released).
-        Compacting the in-memory journals here is satellite work:
-        replaying a compacted journal builds the identical catalog, and
-        the ``journal_len`` gauges (plus their one-time warning
-        latches) reset with it.
         """
         with self._lock:
-            journals: Dict[int, List[Tuple[str, str]]] = {}
-            for shard in self._shards:
-                shard.journal = compact_journal(shard.journal)
-                # re-arm the growth warning only once compaction has
-                # actually caught up — a journal still over threshold
-                # would otherwise re-warn at every snapshot interval
-                if len(shard.journal) <= self.config.journal_warn_len:
-                    shard.journal_warned = False
-                self._note_journal_len_locked(shard)
-                journals[shard.index] = list(shard.journal)
             return {
                 "shards": self.config.shards,
                 "view_shard": dict(self._view_shard),
-                "journals": journals,
+                "journals": {
+                    shard.index: shard.journal.entries
+                    for shard in self._shards
+                },
             }
 
+    def _journal_locked(self, req: _Request) -> None:
+        shard = self._shards[req.shard]
+        shard.journal.append(req.sql, req.session, req.write)
+        self._note_journal_len_locked(shard)
+
     def _note_journal_len_locked(self, shard: _Shard) -> None:
-        length = len(shard.journal)
         self._metrics.gauge(
             f"proc.s{shard.index}.journal_len"
-        ).set(float(length))
-        if length > self.config.journal_warn_len and not shard.journal_warned:
-            shard.journal_warned = True
-            print(
-                f"[repro.serve] shard {shard.index} catalog journal "
-                f"grew to {length} entries (warn threshold "
-                f"{self.config.journal_warn_len}); snapshot compaction "
-                f"is falling behind",
-                file=sys.stderr,
-            )
+        ).set(float(len(shard.journal.entries)))
 
     def _wal_commit(self, req: _Request, state: _TicketState) -> None:
         """Make one acked mutation durable, then release its ticket.
@@ -577,9 +557,7 @@ class ProcSupervisor:
             # commit triggers: the journal entry is in the image of
             # every snapshot whose last_seq covers it
             with self._lock:
-                shard = self._shards[req.shard]
-                shard.journal.append((req.sql, req.session))
-                self._note_journal_len_locked(shard)
+                self._journal_locked(req)
 
         failure: Optional[DurabilityError] = None
         try:
@@ -669,11 +647,11 @@ class ProcSupervisor:
         state = _TicketState(ticket)
         parts = self._route(stmt, sql, session)
         with self._lock:
-            for part, (shard_idx, part_sql, primary, journal) in \
+            for part, (shard_idx, part_sql, primary, write) in \
                     enumerate(parts):
                 req = _Request(
                     state, shard_idx, part_sql, session, part,
-                    f"r{index}.{part}", fidx, journal, primary,
+                    f"r{index}.{part}", fidx, write, primary,
                 )
                 if primary:
                     state.primary_part = part
@@ -718,54 +696,49 @@ class ProcSupervisor:
 
     def _route(
         self, stmt: object, sql: str, session: str
-    ) -> List[Tuple[int, str, bool, bool]]:
-        """``[(shard, sql, primary, journal)]`` for one statement.
+    ) -> List[Tuple[int, str, bool, Optional[Tuple[str, str]]]]:
+        """``[(shard, sql, primary, write)]`` for one statement.
 
         Most statements are one part routed by the table (builds,
         selects) or the owning view (highlight/reorder).  Catalog
         listings fan out: ``SHOW CADVIEWS`` runs on every shard and the
         sorted union of the per-shard catalogs is the answer; ``DROP``
         runs on the owner (primary) while the other shards contribute
-        their catalog via a synthetic ``SHOW`` part.
+        their catalog via a synthetic ``SHOW`` part.  ``EXPLAIN`` is
+        routed like its inner statement, but only the primary part of a
+        statement with a :func:`~repro.query.ast.catalog_write` is
+        journaled and moves the routing map.
         """
         nshards = len(self._shards)
         inner = stmt.inner if isinstance(stmt, ExplainStatement) else stmt
-        writes = isinstance(
-            inner,
-            (CreateCadViewStatement, DropCadViewStatement,
-             ReorderRowsStatement),
-        )
-        if isinstance(inner, CreateCadViewStatement):
+        if isinstance(inner, ShowCadViewsStatement) and inner is stmt:
+            return [(s, sql, s == 0, None) for s in range(nshards)]
+        write = catalog_write(stmt)
+        view: Optional[str] = None
+        if isinstance(inner, (CreateCadViewStatement, SelectStatement,
+                              DescribeStatement)):
             shard = self._shard_of(inner.table)
-            with self._lock:
-                self._view_shard[inner.name] = shard
-            return [(shard, sql, True, True)]
-        if isinstance(inner, (SelectStatement, DescribeStatement)):
-            return [(self._shard_of(inner.table), sql, True, False)]
-        if isinstance(inner, (HighlightSimilarStatement,
-                              ReorderRowsStatement)):
+        elif isinstance(inner, DropCadViewStatement):
+            view = inner.name
+        elif isinstance(inner, (HighlightSimilarStatement,
+                                ReorderRowsStatement)):
             view = inner.view
+        else:
+            # EXPLAIN SHOW CADVIEWS (rendered text cannot merge) and any
+            # future statement kind: shard 0
+            shard = 0
+        if view is not None or write is not None:
             with self._lock:
-                shard = self._view_shard.get(view, self._shard_of(view))
-            return [(shard, sql, True, writes)]
+                if view is not None:
+                    shard = self._view_shard.get(view, self._shard_of(view))
+                route_write(self._view_shard, write, shard)
+        parts = [(shard, sql, True, write)]
         if isinstance(inner, DropCadViewStatement):
-            with self._lock:
-                owner = self._view_shard.pop(
-                    inner.name, self._shard_of(inner.name)
-                )
-            parts = [(owner, sql, True, True)]
             parts += [
-                (s, "SHOW CADVIEWS", False, False)
-                for s in range(nshards) if s != owner
+                (s, "SHOW CADVIEWS", False, None)
+                for s in range(nshards) if s != shard
             ]
-            return parts
-        if isinstance(inner, ShowCadViewsStatement) and not isinstance(
-            stmt, ExplainStatement
-        ):
-            return [(s, sql, s == 0, False) for s in range(nshards)]
-        # EXPLAIN SHOW CADVIEWS (rendered text cannot merge) and any
-        # future statement kind: one part on shard 0
-        return [(0, sql, True, False)]
+        return parts
 
     # -- dispatch ----------------------------------------------------------
 
@@ -810,7 +783,7 @@ class ProcSupervisor:
                     "fault_index": req.fault_index,
                     "proc_attempt": req.proc_attempt,
                     "budget": (
-                        asdict(self.config.open_budget)
+                        asdict(default_open_budget())
                         if req.short_circuited else None
                     ),
                 }
@@ -859,7 +832,7 @@ class ProcSupervisor:
                 return
             incarnation = shard.next_incarnation
             shard.next_incarnation += 1
-            journal = list(shard.journal)
+            journal = shard.journal.entries
         parent_conn, child_conn = self._ctx.Pipe()
         process = self._ctx.Process(
             target=worker_main,
@@ -935,26 +908,33 @@ class ProcSupervisor:
         Whoever notices first claims it; everyone else returns at once.
         It is the incarnation's only reaper, and it reaps through
         :func:`_reap` (see :data:`_REAP_LOCK`).  ``cause=None`` means
-        the process ended on its own: exit 0 (only the worker's clean
-        shutdown exits 0) is a drain, :data:`PIPE_DROP_EXIT` a pipe
-        drop, anything else a crash.
+        the process ended on its own (its pipe reached end of file, or
+        its sentinel fired): it gets ``heartbeat_timeout_s`` — how
+        long a silent worker is trusted — to exit, and is then killed
+        as hung.  Exit 0 (only the worker's clean shutdown exits 0) is
+        a drain, :data:`PIPE_DROP_EXIT` a pipe drop, anything else a
+        crash.
         """
         with self._lock:
             if handle.down:
                 return
             handle.down = True
         process = handle.process
-        code = _reap(process, 0.5 if cause is None else 0.0)
-        if cause is None:
+        code = _reap(
+            process,
+            self.config.heartbeat_timeout_s if cause is None else 0.0,
+        )
+        if code is None:
+            cause = cause or "hang"
+            with _REAP_LOCK:
+                process.kill()
+            code = _reap(process, 2.0)
+        elif cause is None:
             cause = (
                 "drain" if code == 0
                 else "pipe_drop" if code == PIPE_DROP_EXIT
                 else "crash"
             )
-        if code is None:
-            with _REAP_LOCK:
-                process.kill()
-            code = _reap(process, 2.0)
         handle.exitcode = code
         with self._lock:
             shard = self._shards[handle.shard]
@@ -1050,8 +1030,7 @@ class ProcSupervisor:
                     ):
                         kills.append((handle, "hang"))
                     elif not handle.ready and (
-                        now - handle.spawned_at
-                        > self.config.ready_timeout_s
+                        now - handle.spawned_at > _READY_TIMEOUT_S
                     ):
                         kills.append((handle, "hang"))
                 elif (
@@ -1113,10 +1092,7 @@ class ProcSupervisor:
             if req.part in state.responses:
                 return  # already resolved (cancel raced a response)
             state.responses[req.part] = response
-            if (
-                req.journal
-                and response.get("status") == "ok"
-            ):
+            if req.write is not None and response.get("status") == "ok":
                 if self._wal is not None:
                     # the ack is not releasable until the mutation is
                     # durable: journal append + finalize wait for the
@@ -1124,9 +1100,7 @@ class ProcSupervisor:
                     state.wal_pending += 1
                     wal_commit = True
                 else:
-                    shard = self._shards[req.shard]
-                    shard.journal.append((req.sql, req.session))
-                    self._note_journal_len_locked(shard)
+                    self._journal_locked(req)
             finalize = self._complete_locked(state)
         if wal_commit:
             self._wal_commit(req, state)
@@ -1416,7 +1390,7 @@ class ProcSupervisor:
                     "inflight": (
                         len(handle.inflight) if handle is not None else 0
                     ),
-                    "journal": len(s.journal),
+                    "journal": len(s.journal.entries),
                 })
             snap = {
                 "submitted": self._submitted,

@@ -92,8 +92,6 @@ PROC_FAULT_SITES = (
     "proc.worker_crash", "proc.worker_hang", "proc.pipe_drop",
 )
 
-_DEFAULT_ROWS = {"usedcars": 40_000, "mushroom": 8_124}
-
 # Telemetry buffer bounds: overflow is *dropped and counted*, never
 # queued unboundedly and never allowed to block request execution.
 _TEL_MAX_SPANS = 128
@@ -111,18 +109,19 @@ class WorkerSpec:
 
     dataset / rows / seed / csv:
         The table to serve — same vocabulary as the CLI data flags.
-    faults_spec / fault_seed:
-        The fault plan (``site=kind[*times]`` syntax) and base seed;
-        the worker forks one injector per statement index, exactly like
-        the thread executor, so chaos fires identically no matter which
-        process executes the statement.
+    faults_spec:
+        The fault plan (``site=kind[*times]`` syntax); the worker forks
+        one injector per statement index, exactly like the thread
+        executor, so chaos fires identically no matter which process
+        executes the statement.
     budget:
         The explorer-level :class:`Budget` as a field dict (``None``
         for unbudgeted); per-request overrides (a breaker's open
         budget) arrive on the request frame instead.
-    max_retries / backoff_base_s / backoff_cap_s / retry_jitter_seed:
-        Proc mode's transient-retry policy (``--max-retries`` lands
-        here), run in the worker by the thread executor's own loop.
+    max_retries:
+        Proc mode's transient-retry count (``--max-retries`` lands
+        here), run in the worker by the thread executor's own loop and
+        backoff.
     """
 
     dataset: str = "usedcars"
@@ -130,12 +129,8 @@ class WorkerSpec:
     seed: int = 7
     csv: Optional[str] = None
     faults_spec: Optional[str] = None
-    fault_seed: int = 0
     budget: Optional[Dict[str, object]] = None
     max_retries: int = 2
-    backoff_base_s: float = 0.02
-    backoff_cap_s: float = 0.5
-    retry_jitter_seed: int = 0
     ship_spans: bool = False
     """When True (the supervisor was given a tracer), the worker builds
     a span tree per request and ships it over ``TELEMETRY`` frames;
@@ -152,32 +147,11 @@ class WorkerSpec:
         return asdict(self)
 
 
-def _build_table(spec: WorkerSpec):
-    """Generate or load the shard's table (the CLI's loading rules)."""
-    from repro.dataset.generators import (
-        generate_mushroom,
-        generate_usedcars,
-        mushroom_schema,
-        usedcars_schema,
-    )
-    from repro.dataset.table import Table
-
-    if spec.csv:
-        schema = (
-            usedcars_schema() if spec.dataset == "usedcars"
-            else mushroom_schema()
-        )
-        return Table.from_csv(spec.csv, schema)
-    rows = spec.rows or _DEFAULT_ROWS.get(spec.dataset, 1000)
-    if spec.dataset == "mushroom":
-        return generate_mushroom(rows, seed=spec.seed)
-    return generate_usedcars(rows, seed=spec.seed)
-
-
 def _build_explorer(spec: WorkerSpec):
     """A DBExplorer with env-driven worklog/faults explicitly off."""
     from repro.core.cadview import CADViewConfig
     from repro.core.explorer import DBExplorer
+    from repro.dataset.generators import load_table
     from repro.obs.worklog import NO_WORKLOG
 
     budget = Budget(**spec.budget) if spec.budget else None
@@ -187,7 +161,9 @@ def _build_explorer(spec: WorkerSpec):
         faults=NO_FAULTS,      # the supervisor forwards faults per request
         worklog=NO_WORKLOG,    # the supervisor writes the parent-side log
     )
-    dbx.register("data", _build_table(spec))
+    dbx.register(
+        "data", load_table(spec.dataset, spec.rows, spec.seed, spec.csv)
+    )
     return dbx
 
 
@@ -218,7 +194,7 @@ class _Worker:
         self._tokens_lock = threading.Lock()
         self._tokens: Dict[str, CancelToken] = {}
         self._base_faults = (
-            FaultInjector.parse(spec.faults_spec, seed=spec.fault_seed)
+            FaultInjector.parse(spec.faults_spec)
             if spec.faults_spec else None
         )
         # telemetry buffers: bounded, drop-counted, flushed best-effort
@@ -497,7 +473,8 @@ class _Worker:
         start = time.perf_counter()
         run = execute_with_retries(
             self.dbx, self.dbx.session(session), sql, token, injector,
-            budget_override, self.spec, fault_index, time.sleep,
+            budget_override, self.spec.max_retries, fault_index,
+            time.sleep,
         )
         elapsed_ms = (time.perf_counter() - start) * 1e3
         result, error, report = run.result, run.error, run.report

@@ -12,8 +12,17 @@ import os
 import threading
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.errors import DurabilityError, RecoveryError
+from repro.query.ast import (
+    CreateCadViewStatement,
+    DropCadViewStatement,
+    ReorderRowsStatement,
+    catalog_write,
+)
+from repro.query.parser import parse
 from repro.serve.durability import (
     HEADER,
     WalWriter,
@@ -120,6 +129,106 @@ class TestCompactJournal:
         b = [(DROP_A, "s"), (CREATE_B, "s")]
         assert compact_journal(compact_journal(a) + b) == \
             compact_journal(a + b)
+
+    def test_fold_parses_each_entry_once(self, monkeypatch):
+        # each CREATE folds in without re-parsing the entries kept
+        # before it (the batch form re-parsed them all: quadratic)
+        from repro.serve.durability import recovery
+
+        calls = []
+
+        def counting_parse(sql):
+            calls.append(sql)
+            return parse(sql)
+
+        monkeypatch.setattr(recovery, "parse", counting_parse)
+        entries = [
+            (CREATE_A.replace("CADVIEW a", f"CADVIEW v{i}"), "s")
+            for i in range(256)
+        ]
+        assert compact_journal(entries) == entries
+        assert len(calls) <= 256
+
+    @given(st.lists(st.tuples(
+        st.one_of(
+            st.builds(
+                "CREATE CADVIEW {} AS SET pivot = {} SELECT Price FROM "
+                "data LIMIT COLUMNS 3 IUNITS 2".format,
+                st.sampled_from("abc"),
+                st.sampled_from(["Make", "BodyType"]),
+            ),
+            st.builds("DROP CADVIEW {}".format, st.sampled_from("abc")),
+            st.builds(
+                "REORDER ROWS IN {} ORDER BY SIMILARITY(Ford) DESC".format,
+                st.sampled_from("abc"),
+            ),
+            st.sampled_from(["garbage !", "CREATE CADVIEW"]),
+        ),
+        st.sampled_from(["s0", "s1"]),
+    ), max_size=30))
+    def test_fold_matches_batch_compaction(self, entries):
+        assert compact_journal(entries) == _batch_compact(entries)
+
+
+def _batch_compact(entries):
+    """The batch compaction the per-append fold replaced (the oracle):
+    for each CREATE or DROP, re-parse every kept entry and drop those
+    on the same view."""
+
+    def target(sql):
+        try:
+            stmt = parse(sql)
+        except Exception:
+            return None
+        if isinstance(stmt, CreateCadViewStatement):
+            return ("create", stmt.name)
+        if isinstance(stmt, DropCadViewStatement):
+            return ("drop", stmt.name)
+        if isinstance(stmt, ReorderRowsStatement):
+            return ("reorder", stmt.view)
+        return None
+
+    compacted = []
+    for sql, session in entries:
+        write = target(sql)
+        if write is None:
+            compacted.append((sql, session))
+            continue
+        kind, view = write
+        if kind in ("create", "drop"):
+            compacted = [
+                entry for entry in compacted
+                if target(entry[0]) is None or target(entry[0])[1] != view
+            ]
+        if kind != "drop":
+            compacted.append((sql, session))
+    return compacted
+
+
+@pytest.mark.parametrize("sql, write", [
+    ("SELECT Make FROM data", None),
+    ("DESCRIBE data", None),
+    ("SHOW CADVIEWS", None),
+    ("HIGHLIGHT SIMILAR IUNITS IN a WHERE SIMILARITY(Ford, 1) > 0.5", None),
+    (CREATE_A, ("create", "a")),
+    (DROP_A, ("drop", "a")),
+    (REORDER_A, ("reorder", "a")),
+    # plain EXPLAIN and EXPLAIN CHECK execute nothing ...
+    (f"EXPLAIN {CREATE_A}", None),
+    (f"EXPLAIN {DROP_A}", None),
+    (f"EXPLAIN {REORDER_A}", None),
+    (f"EXPLAIN CHECK {CREATE_A}", None),
+    (f"EXPLAIN CHECK {DROP_A}", None),
+    (f"EXPLAIN CHECK {REORDER_A}", None),
+    # ... EXPLAIN ANALYZE executes its inner statement
+    (f"EXPLAIN ANALYZE {CREATE_A}", ("create", "a")),
+    (f"EXPLAIN ANALYZE {DROP_A}", ("drop", "a")),
+    (f"EXPLAIN ANALYZE {REORDER_A}", ("reorder", "a")),
+    ("EXPLAIN ANALYZE SELECT Make FROM data", None),
+    ("EXPLAIN ANALYZE SHOW CADVIEWS", None),
+])
+def test_catalog_write(sql, write):
+    assert catalog_write(parse(sql)) == write
 
 
 class TestWalWriter:

@@ -327,10 +327,7 @@ class TestSessionExecutor:
 
     def test_transient_faults_are_retried(self, cars):
         dbx = _explorer(cars)
-        config = ServeConfig(
-            workers=1, max_retries=2, backoff_base_s=0.001,
-            backoff_cap_s=0.002,
-        )
+        config = ServeConfig(workers=1, max_retries=2)
         crashes = FaultInjector.parse("serve.slow_worker=crash*2")
         with SessionExecutor(dbx, config) as ex:
             ticket = ex.submit(
@@ -342,10 +339,7 @@ class TestSessionExecutor:
 
     def test_retries_exhausted_fail_the_ticket(self, cars):
         dbx = _explorer(cars)
-        config = ServeConfig(
-            workers=1, max_retries=1, backoff_base_s=0.001,
-            backoff_cap_s=0.002,
-        )
+        config = ServeConfig(workers=1, max_retries=1)
         crashes = FaultInjector.parse("serve.slow_worker=crash*5")
         with SessionExecutor(dbx, config) as ex:
             ticket = ex.submit(

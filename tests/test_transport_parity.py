@@ -117,7 +117,7 @@ def test_transient_retries_match(
     with serving(
         transport, metrics,
         faults_spec=f"serve.slow_worker=crash*{crashes}",
-        max_retries=max_retries, backoff_base_s=0.001, backoff_cap_s=0.002,
+        max_retries=max_retries,
     ) as server:
         ticket = server.submit(SELECT, session="s")
         assert ticket.wait(60)
