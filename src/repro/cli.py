@@ -23,8 +23,11 @@ by ``gen-data`` (pass ``--csv`` with ``--dataset`` naming its schema).
 from __future__ import annotations
 
 import argparse
+import json
 import os
 import sys
+from contextlib import contextmanager
+from dataclasses import replace
 from typing import Optional
 
 from repro.core import CADView, CADViewConfig, DBExplorer
@@ -179,73 +182,60 @@ def _session_worklog(args) -> Optional[WorkLogWriter]:
     return writer
 
 
-def _write_obs(
-    args,
-    tracer: Optional[Tracer],
-    worklog: Optional[WorkLogWriter] = None,
-) -> None:
+def _write_obs(args, tracer, worklog=None, supervisor=None) -> None:
     """Flush ``--trace`` / ``--metrics`` / ``--worklog`` (also on failure).
 
     Every command that opens observability outputs calls this from a
     ``finally`` so artifacts survive *any* abort — including statements
     the semantic analyzer rejects before the first build span opens.
-    """
-    if getattr(args, "trace", None) and tracer is not None:
-        write_chrome_trace(tracer.finish(), args.trace)
-    if getattr(args, "metrics", None):
-        write_metrics(registry(), args.metrics)
-    if worklog is not None:
-        worklog.close()
-
-
-def _write_obs_procs(args, tracer, worklog, supervisor) -> None:
-    """Proc-mode artifact flush: stitched trace + cluster metrics.
-
     Under ``--procs`` the interesting spans and metrics live in worker
-    processes; the supervisor's :class:`~repro.obs.hub.TelemetryHub`
-    holds the merged view, so ``--trace`` writes the *stitched*
-    multi-process Chrome trace and ``--metrics`` the cluster-wide
-    registry (supervisor + every worker incarnation + drop counters).
+    processes; the ``supervisor``'s
+    :class:`~repro.obs.hub.TelemetryHub` holds the merged view, so
+    ``--trace`` writes the *stitched* multi-process Chrome trace and
+    ``--metrics`` the cluster-wide registry (supervisor + every worker
+    incarnation + drop counters).
     """
-    if supervisor is None:
-        _write_obs(args, tracer, worklog)
-        return
     if getattr(args, "trace", None) and tracer is not None:
-        write_stitched_chrome_trace(
-            args.trace, tracer.finish(), supervisor.telemetry.span_trees()
-        )
+        if supervisor is None:
+            write_chrome_trace(tracer.finish(), args.trace)
+        else:
+            write_stitched_chrome_trace(
+                args.trace, tracer.finish(),
+                supervisor.telemetry.span_trees(),
+            )
     if getattr(args, "metrics", None):
-        write_metrics(supervisor.telemetry.cluster_registry(), args.metrics)
+        write_metrics(
+            registry() if supervisor is None
+            else supervisor.telemetry.cluster_registry(),
+            args.metrics,
+        )
     if worklog is not None:
         worklog.close()
 
 
-def _check_slos(
-    args,
-    snapshot,
-    latency_prefix: str = "serve.latency.",
-    status_prefix: str = "serve.statements.",
-) -> Optional[str]:
-    """Evaluate ``--slo`` against a metrics snapshot, print the report.
+def _conclude(args, snapshot, failures=(), **prefixes) -> int:
+    """Evaluate ``--slo`` against a metrics snapshot; the exit code.
 
-    Returns a failure message when the check should fail the command
-    (``None`` with no ``--slo``, a passing check, or ``--slo-warn``).
+    Prints the SLO report, then one ``error:`` line per failure (the
+    given run-gate failures plus a failed SLO check, which
+    ``--slo-warn`` turns into a warning); exit 2 on any, else 0.
+    ``prefixes`` name the latency/status metrics (default: the serve
+    ones).
     """
-    specs = getattr(args, "slo", None)
-    if not specs:
-        return None
-    spec = ",".join(specs) if isinstance(specs, list) else specs
-    report = evaluate_slos(
-        parse_slos(spec), snapshot,
-        latency_prefix=latency_prefix, status_prefix=status_prefix,
-    )
-    print(report.render(), file=sys.stderr)
-    if report.ok or getattr(args, "slo_warn", False):
-        if not report.ok:
+    failures = list(failures)
+    if getattr(args, "slo", None):
+        report = evaluate_slos(
+            parse_slos(",".join(args.slo)), snapshot, **prefixes
+        )
+        print(report.render(), file=sys.stderr)
+        if not report.ok and args.slo_warn:
             print("warning: SLO check failed (--slo-warn: not fatal)",
                   file=sys.stderr)
-        return None
-    return "SLO check failed"
+        elif not report.ok:
+            failures.append("SLO check failed")
+    for failure in failures:
+        print(f"error: {failure}", file=sys.stderr)
+    return EXIT_BUILD_FAILED if failures else EXIT_OK
 
 
 def _budget(args) -> Optional[Budget]:
@@ -349,8 +339,6 @@ def cmd_check(args) -> int:
     dbx.register("data", _load_table(args))
     report = dbx.analyze(args.sql)
     if args.json:
-        import json
-
         print(json.dumps(report.as_dict(), indent=2))
     else:
         print(report.render())
@@ -385,8 +373,36 @@ def cmd_repl(args) -> int:
         _write_obs(args, tracer, worklog)
 
 
-def _replay_defaults_from_header(args, records) -> None:
-    """Fill dataset/rows/seed/csv flags from the log's session header."""
+def _workload(args, path: str):
+    """Read the workload log at ``path`` for ``replay``/``serve``/``profile``.
+
+    Returns ``(records, corrupt_count)``.  Tolerant mode (the default)
+    skips undecodable lines with a warning — a writer killed mid-write
+    leaves a truncated trailing line, and a crash-recovery replay must
+    not choke on the very record whose statement caused the crash.
+    ``--strict`` (where the command has it) turns any such line into a
+    usage error instead.  The log's session header fills the
+    dataset/rows/seed/csv flags left unset, a ``--budget-ms`` of 0 or
+    less means "no budget", and a log with no statement record, or one
+    the session would replay into itself, is a usage error.
+    """
+    from repro.serve import workload_statements
+
+    corrupt: list = []
+    strict = getattr(args, "strict", None)
+    try:
+        records = read_worklog(
+            path, strict=bool(strict), corrupt_lines=corrupt
+        )
+    except (ValueError, OSError) as exc:
+        raise ReproError(f"cannot read worklog {path!r}: {exc}") from exc
+    hint = " (pass --strict to fail instead)" if strict is not None else ""
+    for lineno in corrupt:
+        print(
+            f"warning: {path}:{lineno}: corrupt worklog line skipped"
+            + hint,
+            file=sys.stderr,
+        )
     session = next(
         (r for r in records if r.get("kind") == "session"), {}
     )
@@ -403,37 +419,6 @@ def _replay_defaults_from_header(args, records) -> None:
         args.csv = session["csv"]
     if args.budget_ms is not None and args.budget_ms <= 0:
         args.budget_ms = None
-
-
-def _read_workload(args, path: str):
-    """Read the workload log at ``path``, honoring ``--strict``.
-
-    Returns ``(records, corrupt_count)``.  Tolerant mode (the default)
-    skips undecodable lines with a warning — a writer killed mid-write
-    leaves a truncated trailing line, and a crash-recovery replay must
-    not choke on the very record whose statement caused the crash.
-    ``--strict`` (where the command has it) turns any such line into a
-    usage error instead.
-    """
-    corrupt: list = []
-    strict = getattr(args, "strict", None)
-    try:
-        records = read_worklog(
-            path, strict=bool(strict), corrupt_lines=corrupt
-        )
-    except (ValueError, OSError) as exc:
-        raise ReproError(f"cannot read worklog {path!r}: {exc}") from exc
-    hint = " (pass --strict to fail instead)" if strict is not None else ""
-    for lineno in corrupt:
-        print(
-            f"warning: {path}:{lineno}: corrupt worklog line skipped"
-            + hint,
-            file=sys.stderr,
-        )
-    return records, len(corrupt)
-
-
-def _guard_self_replay(args, path: str) -> None:
     # guard before _session_worklog opens the file: opening in append
     # mode would stamp a session header onto the log being replayed
     if getattr(args, "worklog", None) and os.path.abspath(args.worklog) \
@@ -442,6 +427,23 @@ def _guard_self_replay(args, path: str) -> None:
             "refusing to replay a worklog into itself; pass a different "
             "--worklog path"
         )
+    if not workload_statements(records):
+        raise ReproError(f"no statement records in {path}")
+    return records, len(corrupt)
+
+
+def _replay_explorer(args, tracer=None, worklog=None) -> DBExplorer:
+    """A configured explorer with the replay table freshly loaded.
+
+    ``NO_WORKLOG`` (not None) when ``--worklog`` is absent: a
+    ``REPRO_WORKLOG`` environment variable must not append the replayed
+    statements to the very log being read.
+    """
+    dbx = _explorer(
+        args, tracer, worklog if worklog is not None else NO_WORKLOG
+    )
+    dbx.register("data", _load_table(args))
+    return dbx
 
 
 def cmd_replay(args) -> int:
@@ -459,103 +461,27 @@ def cmd_replay(args) -> int:
     replays once more at concurrency 1 against a fresh table and fails
     (exit 2) on any digest mismatch: the zero-wrong-answers gate.
     """
-    records, corrupt = _read_workload(args, args.worklog_file)
-    _replay_defaults_from_header(args, records)
-    _guard_self_replay(args, args.worklog_file)
+    records, corrupt = _workload(args, args.worklog_file)
     if args.concurrency is not None:
-        return _replay_concurrent_cmd(args, records, corrupt)
+        if args.concurrency < 1:
+            raise ReproError(
+                f"--concurrency must be >= 1, got {args.concurrency}"
+            )
+        return _stress(args, records, corrupt)
     tracer = _session_tracer(args)
     worklog = _session_worklog(args)
     try:
-        # NO_WORKLOG (not None) when --worklog is absent: a REPRO_WORKLOG
-        # environment variable must not append the replayed statements to
-        # the very log being read
-        dbx = _explorer(
-            args, tracer, worklog if worklog is not None else NO_WORKLOG
-        )
-        dbx.register("data", _load_table(args))
-        report = replay(records, dbx)
+        report = replay(records, _replay_explorer(args, tracer, worklog))
         report.corrupt_lines = corrupt
-        if args.json:
-            import json
-
-            print(json.dumps(report.as_dict(), indent=2))
-        else:
-            print(report.render())
+        print(json.dumps(report.as_dict(), indent=2) if args.json
+              else report.render())
     finally:
         _write_obs(args, tracer, worklog)
-    if report.statements == 0:
-        print("error: no statement records in "
-              f"{args.worklog_file}", file=sys.stderr)
-        return EXIT_USAGE
-    slo_failure = _check_slos(
+    return _conclude(
         args, report.registry.snapshot(),
         latency_prefix="replay.latency.",
         status_prefix="replay.statements.",
     )
-    if slo_failure:
-        print(f"error: {slo_failure}", file=sys.stderr)
-        return EXIT_BUILD_FAILED
-    return EXIT_OK
-
-
-def _fresh_replay_explorer(args, tracer=None, worklog=None):
-    """A configured explorer with the replay table freshly loaded."""
-    dbx = _explorer(
-        args, tracer, worklog if worklog is not None else NO_WORKLOG
-    )
-    dbx.register("data", _load_table(args))
-    return dbx
-
-
-def _replay_concurrent_cmd(args, records, corrupt: int = 0) -> int:
-    """The ``replay --concurrency N`` path: the DAG-scheduled harness."""
-    from repro.serve import replay_concurrent
-
-    if args.concurrency < 1:
-        raise ReproError(
-            f"--concurrency must be >= 1, got {args.concurrency}"
-        )
-    tracer = _session_tracer(args)
-    worklog = _session_worklog(args)
-    try:
-        dbx = _fresh_replay_explorer(args, tracer, worklog)
-        report = replay_concurrent(
-            records, dbx, concurrency=args.concurrency
-        )
-        report.corrupt_lines = corrupt
-        if args.verify_sequential:
-            baseline = replay_concurrent(
-                records, _fresh_replay_explorer(args), concurrency=1
-            )
-            mismatches = baseline.mismatches(report)
-            if mismatches:
-                for index, seq, conc in mismatches:
-                    print(
-                        f"wrong answer at statement #{index}: "
-                        f"sequential={seq} concurrent={conc}",
-                        file=sys.stderr,
-                    )
-                return EXIT_BUILD_FAILED
-            print(f"verified: {len(report.results)} statement(s) "
-                  f"byte-identical to the sequential replay")
-        if args.json:
-            import json
-
-            print(json.dumps(report.as_dict(), indent=2))
-        else:
-            print(report.render())
-    finally:
-        _write_obs(args, tracer, worklog)
-    if not report.results:
-        print("error: no statement records in "
-              f"{args.worklog_file}", file=sys.stderr)
-        return EXIT_USAGE
-    slo_failure = _check_slos(args, registry().snapshot())
-    if slo_failure:
-        print(f"error: {slo_failure}", file=sys.stderr)
-        return EXIT_BUILD_FAILED
-    return EXIT_OK
 
 
 def cmd_serve(args) -> int:
@@ -573,14 +499,16 @@ def cmd_serve(args) -> int:
     worker crash/hang/pipe-drop faults mid-run and asserts the
     supervision tree recovered: every statement terminal, restarts
     within the backoff bounds, and — with ``--verify-sequential`` —
-    digests byte-identical to an in-process sequential replay.
+    digests byte-identical to an in-process sequential replay.  A
+    verified or chaos run serves with admission wide open, no deadline
+    and no breakers, as ``replay --concurrency`` does.
     """
-    from repro.serve import BreakerConfig, ServeConfig, replay_concurrent
-
     if not args.stress:
         raise ReproError(
             "only stress mode is implemented; pass --stress"
         )
+    if args.procs is not None and args.procs < 1:
+        raise ReproError(f"--procs must be >= 1, got {args.procs}")
     if args.torture is not None:
         return _serve_torture(args)
     if args.chaos and args.procs is None:
@@ -596,162 +524,122 @@ def cmd_serve(args) -> int:
             "--state-dir requires --procs (the durable catalog WAL "
             "lives in the multi-process supervisor)"
         )
-    records, corrupt = _read_workload(args, args.worklog_file)
-    _replay_defaults_from_header(args, records)
-    _guard_self_replay(args, args.worklog_file)
-    if args.procs is not None:
-        return _serve_procs(args, records, corrupt)
-    try:
-        config = ServeConfig(
-            workers=args.workers,
-            queue_limit=args.queue_limit,
-            deadline_s=(
-                args.deadline_ms / 1e3
-                if args.deadline_ms is not None else None
-            ),
-            max_retries=args.max_retries,
-            breaker=BreakerConfig(
-                trip_after=args.trip_after,
-                cooldown_s=args.cooldown_ms / 1e3,
-            ),
-        )
-    except ValueError as exc:
-        raise ReproError(str(exc)) from exc
-    tracer = _session_tracer(args)
-    worklog = _session_worklog(args)
-    try:
-        dbx = _fresh_replay_explorer(args, tracer, worklog)
-        report = replay_concurrent(
-            records, dbx, concurrency=args.workers, config=config
-        )
-        report.corrupt_lines = corrupt
-        if args.json:
-            import json
-
-            print(json.dumps(report.as_dict(), indent=2))
-        else:
-            print(report.render())
-    finally:
-        _write_obs(args, tracer, worklog)
-    if not report.results:
-        print("error: no statement records in "
-              f"{args.worklog_file}", file=sys.stderr)
-        return EXIT_USAGE
-    dropped = [
-        res.index for res in report.results
-        if res.outcome not in ("ok", "degraded", "rejected", "failed")
-    ]
-    if dropped:
-        print(f"error: statements without a terminal outcome: {dropped}",
-              file=sys.stderr)
-        return EXIT_BUILD_FAILED
-    slo_failure = _check_slos(args, registry().snapshot())
-    if slo_failure:
-        print(f"error: {slo_failure}", file=sys.stderr)
-        return EXIT_BUILD_FAILED
-    return EXIT_OK
+    return _stress(args, *_workload(args, args.worklog_file))
 
 
-def _chaos_plan(n: int) -> str:
-    """An index-narrowed chaos plan over an ``n``-statement workload.
+def _stress(args, records, corrupt: int) -> int:
+    """The concurrent modes: ``replay --concurrency N``, ``serve
+    --stress`` and ``serve --stress --procs N``.
 
-    Counting faults (never probabilistic) at fixed statement indices,
-    so the same workload always produces the same chaos schedule — the
-    precondition for ``--chaos --verify-sequential`` byte-identity.
-    One crash early, one hang mid-run, one pipe drop late; short
-    workloads get however many distinct indices they can hold.
+    Builds the server and hands it to the stress driver
+    (:func:`repro.serve.run_stress`), which replays the log, compares
+    it with a sequential replay under ``--verify-sequential`` and
+    applies the run gates; this prints what it found.
     """
-    sites = []
-    crash = n // 4
-    sites.append(f"proc.worker_crash:{crash}=crash*1")
-    hang = max(crash + 1, n // 2)
-    if hang < n:
-        # the sleep must outlive the supervisor's heartbeat timeout so
-        # the missed-heartbeat detector (not the pipe) catches it
-        sites.append(f"proc.worker_hang:{hang}=sleep:2.0*1")
-    drop = max(hang + 1, (3 * n) // 4)
-    if drop < n:
-        sites.append(f"proc.pipe_drop:{drop}=crash*1")
-    return ",".join(sites)
+    from repro.serve import run_stress, workload_statements
+
+    baseline = (
+        (lambda: _replay_explorer(args)) if args.verify_sequential
+        else None
+    )
+    with _serving(args, len(workload_statements(records))) as server:
+        run = run_stress(
+            records, server, chaos=getattr(args, "chaos", False),
+            baseline=baseline, corrupt_lines=corrupt,
+        )
+        print(json.dumps(run.as_dict(), indent=2, default=str)
+              if args.json else run.render())
+        for index, seq, conc in run.mismatches:
+            print(
+                f"wrong answer at statement #{index}: "
+                f"sequential={seq} concurrent={conc}",
+                file=sys.stderr,
+            )
+        if args.verify_sequential and not run.mismatches:
+            print(
+                f"verified: {len(run.report.results)} statement(s) "
+                "byte-identical to the sequential replay",
+                # keep --json stdout machine-parseable
+                file=sys.stderr if args.json else sys.stdout,
+            )
+    return _conclude(args, run.metrics, run.failures)
 
 
-def _serve_procs(args, records, corrupt: int) -> int:
-    """The ``serve --stress --procs N`` path: supervised subprocesses.
+@contextmanager
+def _serving(args, statements: int):
+    """The server a concurrent mode runs on, built from the flags.
 
-    Builds a :class:`~repro.serve.proc.ProcSupervisor` over ``N``
-    dataset-sharded workers, replays the workload through it with the
-    same DAG harness the thread path uses, then drains gracefully.  A
-    SIGTERM mid-run turns into :meth:`begin_drain` — admission stops,
-    in-flight statements finish or cancel, workers exit 0, artifacts
-    flush — and the command still exits 0: that is the graceful-drain
-    contract the chaos tests pin down.
+    A thread pool (``replay --concurrency N``, ``serve --stress``) or
+    ``--procs N`` supervised worker processes.  ``replay``, verified
+    and chaos runs get :func:`~repro.serve.deterministic_config`; a
+    chaos run also gets the chaos plan and a fast heartbeat.  The
+    ``--trace`` / ``--metrics`` / ``--worklog`` artifacts flush on the
+    way out, also on failure.
     """
-    import signal
-    from dataclasses import replace
-
-    from repro.serve import BreakerConfig, replay_concurrent
-    from repro.serve.proc import (
-        ProcServeConfig,
-        ProcSupervisor,
-        WorkerSpec,
+    from repro.serve import (
+        BreakerConfig,
+        ServeConfig,
+        SessionExecutor,
+        chaos_plan,
+        deterministic_config,
     )
 
-    if args.procs < 1:
-        raise ReproError(f"--procs must be >= 1, got {args.procs}")
-    n = sum(
-        1 for rec in records
-        if rec.get("kind") == "statement"
-        and isinstance(rec.get("statement"), str)
-        and str(rec["statement"]).strip()
-    )
-    faults_spec = args.faults
-    if args.chaos:
-        chaos_spec = _chaos_plan(n)
-        faults_spec = (
-            f"{faults_spec},{chaos_spec}" if faults_spec else chaos_spec
-        )
-        print(f"chaos plan: {chaos_spec}", file=sys.stderr)
+    procs = getattr(args, "procs", None)
+    chaos = getattr(args, "chaos", False)
+    if chaos:
+        plan = chaos_plan(statements)
+        print(f"chaos plan: {plan}", file=sys.stderr)
         # the sequential baseline must run the same build-site faults;
         # proc.* sites are never consulted in-process, so sharing the
         # combined spec keeps the two runs digest-comparable
-        args.faults = faults_spec
+        args.faults = f"{args.faults},{plan}" if args.faults else plan
     try:
-        spec = WorkerSpec(
-            dataset=args.dataset,
-            rows=args.rows,
-            seed=args.seed,
-            csv=args.csv,
-            faults_spec=faults_spec,
-            budget=_budget(args),
-            max_retries=args.max_retries,
-        )
-        config = ProcServeConfig(
-            shards=args.procs,
-            queue_limit=args.queue_limit,
-            deadline_s=(
-                args.deadline_ms / 1e3
-                if args.deadline_ms is not None else None
-            ),
-            breaker=BreakerConfig(
-                trip_after=args.trip_after,
-                cooldown_s=args.cooldown_ms / 1e3,
-            ),
-            drain_grace_s=args.drain_grace_ms / 1e3,
-            state_dir=args.state_dir,
-            fsync_interval_ms=args.fsync_interval_ms,
-            wal_segment_max_bytes=args.wal_segment_bytes,
-            wal_snapshot_every=args.wal_snapshot_every,
-        )
-        if args.chaos:
-            # deterministic chaos: breakers and deadlines off (their
-            # state depends on wall-clock completion order), admission
-            # wide open, and a fast heartbeat so injected hangs are
-            # detected in test time, not operator time
+        if args.command == "serve":
+            knobs = dict(
+                queue_limit=args.queue_limit,
+                deadline_s=(
+                    args.deadline_ms / 1e3
+                    if args.deadline_ms is not None else None
+                ),
+                breaker=BreakerConfig(
+                    trip_after=args.trip_after,
+                    cooldown_s=args.cooldown_ms / 1e3,
+                ),
+            )
+        if args.command == "replay":
+            config = ServeConfig(workers=args.concurrency)
+        elif procs is None:
+            config = ServeConfig(
+                workers=args.workers, max_retries=args.max_retries,
+                **knobs,
+            )
+        else:
+            from repro.serve.proc import ProcServeConfig, WorkerSpec
+
+            spec = WorkerSpec(
+                dataset=args.dataset,
+                rows=args.rows,
+                seed=args.seed,
+                csv=args.csv,
+                faults_spec=args.faults,
+                budget=_budget(args),
+                max_retries=args.max_retries,
+            )
+            config = ProcServeConfig(
+                shards=procs,
+                drain_grace_s=args.drain_grace_ms / 1e3,
+                state_dir=args.state_dir,
+                fsync_interval_ms=args.fsync_interval_ms,
+                wal_segment_max_bytes=args.wal_segment_bytes,
+                wal_snapshot_every=args.wal_snapshot_every,
+                **knobs,
+            )
+        if args.command == "replay" or args.verify_sequential or chaos:
+            config = deterministic_config(config, statements)
+        if chaos:
+            # injected hangs are detected in test time, not operator time
             config = replace(
                 config,
-                queue_limit=n + 1,
-                deadline_s=None,
-                breaker=None,
                 heartbeat_interval_s=0.05,
                 heartbeat_timeout_s=0.5,
                 restart_backoff_cap_s=0.5,
@@ -760,6 +648,33 @@ def _serve_procs(args, records, corrupt: int) -> int:
         raise ReproError(str(exc)) from exc
     tracer = _session_tracer(args)
     worklog = _session_worklog(args)
+    if procs is not None:
+        with _supervised(args, spec, config, tracer, worklog) as server:
+            yield server
+        return
+    try:
+        with SessionExecutor(
+            _replay_explorer(args, tracer, worklog), config
+        ) as server:
+            yield server
+    finally:
+        _write_obs(args, tracer, worklog)
+
+
+@contextmanager
+def _supervised(args, spec, config, tracer, worklog):
+    """A :class:`~repro.serve.proc.ProcSupervisor` with its ops wiring.
+
+    A SIGTERM mid-run turns into :meth:`begin_drain` — admission stops,
+    in-flight statements finish or cancel, workers exit 0, artifacts
+    flush — and the command still exits 0: that is the graceful-drain
+    contract the chaos tests pin down.  ``--stats-interval`` prints a
+    live stats line, and SIGUSR1 dumps a stats snapshot.
+    """
+    import signal
+
+    from repro.serve.proc import ProcSupervisor
+
     supervisor = None
     old_handler = None
     old_usr1 = None
@@ -773,8 +688,8 @@ def _serve_procs(args, records, corrupt: int) -> int:
 
     def _on_sigterm(signum, frame):
         # stop admission only: the DAG loop sees rejections, the
-        # replay returns, and the drain below still runs to
-        # completion on the main thread — handler-safe by design
+        # replay returns, and the drain still runs to completion on
+        # the main thread — handler-safe by design
         sup = sigterm_state["supervisor"]
         if sup is not None:
             sup.begin_drain()
@@ -787,7 +702,7 @@ def _serve_procs(args, records, corrupt: int) -> int:
         except ValueError:
             old_handler = None  # not the main thread (embedded use)
         # a private registry per run: the conservation and SLO gates
-        # below must see exactly this run's counters, not whatever an
+        # must see exactly this run's counters, not whatever an
         # embedding process accumulated in the global registry
         supervisor = ProcSupervisor(
             spec, config, worklog=worklog, tracer=tracer,
@@ -828,42 +743,9 @@ def _serve_procs(args, records, corrupt: int) -> int:
             threading.Thread(
                 target=_stats_loop, name="repro-stats", daemon=True,
             ).start()
-        report = replay_concurrent(
-            records, executor=supervisor, concurrency=args.procs
-        )
-        report.corrupt_lines = corrupt
-        drain_report = supervisor.drain()
-        chaos = supervisor.chaos_stats()
-        telemetry = supervisor.telemetry.stats()
+        yield supervisor
         if args.stats_file:
             _dump_stats(supervisor, args.stats_file)
-        if args.json:
-            import json
-
-            payload = report.as_dict()
-            payload["drain"] = drain_report
-            payload["chaos"] = chaos
-            payload["telemetry"] = telemetry
-            print(json.dumps(payload, indent=2, default=str))
-        else:
-            print(report.render())
-            print(
-                f"drain: cancelled={drain_report['cancelled']} "
-                f"clean={drain_report['clean']} "
-                f"exitcodes={drain_report['exitcodes']}"
-            )
-            print(
-                f"chaos: deaths={chaos['deaths']} "
-                f"resubmits={chaos['resubmits']} "
-                f"max_restart_delay={chaos['max_restart_delay_s']:.3f}s "
-                f"wedged={chaos['wedged']}"
-            )
-            print(
-                f"telemetry: frames={telemetry['frames']} "
-                f"workers={telemetry['workers_seen']} "
-                f"spans={telemetry['span_trees']} "
-                f"dropped={telemetry['dropped_total']:.0f}"
-            )
     finally:
         if old_usr1 is not None:
             signal.signal(signal.SIGUSR1, old_usr1)
@@ -875,95 +757,9 @@ def _serve_procs(args, records, corrupt: int) -> int:
             stats_stop.set()
         if supervisor is not None:
             supervisor.close(wait=False)
-        _write_obs_procs(args, tracer, worklog, supervisor)
+        _write_obs(args, tracer, worklog, supervisor)
         if old_handler is not None:
             signal.signal(signal.SIGTERM, old_handler)
-    if not report.results:
-        print("error: no statement records in "
-              f"{args.worklog_file}", file=sys.stderr)
-        return EXIT_USAGE
-    failures = []
-    if chaos["wedged"]:
-        failures.append(f"{chaos['wedged']} ticket(s) never resolved")
-    if chaos["max_restart_delay_s"] > chaos["backoff_cap_s"] + 1e-9:
-        failures.append(
-            f"restart delay {chaos['max_restart_delay_s']:.3f}s "
-            f"exceeded the backoff cap {chaos['backoff_cap_s']:.3f}s"
-        )
-    if args.chaos and chaos["total_deaths"] == 0 and n >= 1:
-        failures.append(
-            "chaos run injected no worker deaths (vacuous pass)"
-        )
-    if not args.chaos and chaos["total_deaths"]:
-        failures.append(
-            f"{chaos['total_deaths']} worker death(s) in a run without "
-            f"--chaos: {chaos['death_log']}"
-        )
-    if args.chaos:
-        # statement conservation: the parent-side per-shard completion
-        # counters (plus the unrouted leg) must sum exactly to the
-        # driver's statement count, worker deaths notwithstanding —
-        # and telemetry losses must be *counted*, never silent
-        import re as _re
-
-        cluster = supervisor.telemetry.cluster_registry().snapshot()
-        counters = cluster.get("counters", {})
-        completed = sum(
-            value for name, value in counters.items()
-            if _re.fullmatch(r"proc\.s\d+\.completed", name)
-        ) + counters.get("proc.unrouted.completed", 0.0)
-        if int(completed) != len(report.results):
-            failures.append(
-                f"statement conservation broken: per-shard completed "
-                f"counters sum to {int(completed)}, driver executed "
-                f"{len(report.results)}"
-            )
-        if "proc.telemetry.dropped" not in counters:
-            failures.append(
-                "cluster metrics lack the proc.telemetry.dropped "
-                "counter (drops must be counted, even at zero)"
-            )
-    dropped = [
-        res.index for res in report.results
-        if res.outcome not in ("ok", "degraded", "rejected", "failed")
-    ]
-    if dropped:
-        failures.append(
-            f"statements without a terminal outcome: {dropped}"
-        )
-    if args.verify_sequential:
-        baseline = replay_concurrent(
-            records, _fresh_replay_explorer(args), concurrency=1
-        )
-        mismatches = baseline.mismatches(report)
-        if mismatches:
-            for index, seq, conc in mismatches:
-                print(
-                    f"wrong answer at statement #{index}: "
-                    f"sequential={seq} procs={conc}",
-                    file=sys.stderr,
-                )
-            failures.append(
-                f"{len(mismatches)} digest mismatch(es) vs the "
-                "sequential replay"
-            )
-        else:
-            print(
-                f"verified: {len(report.results)} statement(s) "
-                "byte-identical to the sequential replay",
-                # keep --json stdout machine-parseable
-                file=sys.stderr if args.json else sys.stdout,
-            )
-    slo_failure = _check_slos(
-        args, supervisor.telemetry.cluster_registry().snapshot()
-    )
-    if slo_failure:
-        failures.append(slo_failure)
-    if failures:
-        for failure in failures:
-            print(f"error: {failure}", file=sys.stderr)
-        return EXIT_BUILD_FAILED
-    return EXIT_OK
 
 
 def _serve_torture(args) -> int:
@@ -977,15 +773,12 @@ def _serve_torture(args) -> int:
     are created (default: a fresh temp dir).  Exits 0 only if every
     crash point recovered correctly.
     """
-    import json
     import tempfile
 
     from repro.serve.durability.torture import run_torture
 
     if args.torture < 1:
         raise ReproError(f"--torture must be >= 1, got {args.torture}")
-    if args.procs is not None and args.procs < 1:
-        raise ReproError(f"--procs must be >= 1, got {args.procs}")
     state_root = args.state_dir or tempfile.mkdtemp(
         prefix="repro-torture-"
     )
@@ -1038,12 +831,9 @@ def cmd_recover(args) -> int:
     gap, or no readable snapshot), 1 = usage errors such as a missing
     directory.
     """
-    import json
-    import os as _os
-
     from repro.serve.durability import recover_state
 
-    if not _os.path.isdir(args.state_dir):
+    if not os.path.isdir(args.state_dir):
         raise ReproError(
             f"state dir {args.state_dir!r} does not exist"
         )
@@ -1114,8 +904,6 @@ def _dump_stats(supervisor, path: str) -> None:
     """Atomically write the full stats snapshot JSON (SIGUSR1 / exit)."""
     if supervisor is None:
         return
-    import json
-
     from repro.obs.atomic import atomic_write_text
 
     atomic_write_text(
@@ -1133,8 +921,6 @@ def cmd_stats(args) -> int:
     embeds the full cluster metrics registry, so ``--slo`` evaluates
     offline — CI gates on the artifact without re-running the workload.
     """
-    import json
-
     try:
         with open(args.stats_json) as fh:
             snap = json.load(fh)
@@ -1202,11 +988,7 @@ def cmd_stats(args) -> int:
             print("work counters (cumulative, all shards/incarnations):")
             for name, total in sorted(work_totals.items()):
                 print(f"  {name} = {total}")
-    slo_failure = _check_slos(args, snap.get("metrics") or {})
-    if slo_failure:
-        print(f"error: {slo_failure}", file=sys.stderr)
-        return EXIT_BUILD_FAILED
-    return EXIT_OK
+    return _conclude(args, snap.get("metrics") or {})
 
 
 def _work_counter_totals(counters) -> dict:
@@ -1304,9 +1086,7 @@ def _profile_session(args) -> int:
     """The ``profile --session LOG`` path: a replay under the sampler."""
     from repro.obs import SamplingProfiler
 
-    records, _ = _read_workload(args, args.session)
-    _replay_defaults_from_header(args, records)
-    _guard_self_replay(args, args.session)
+    records, _ = _workload(args, args.session)
     # always trace: span frames are what makes the flamegraph semantic
     tracer = _session_tracer(args) or Tracer("session", command="profile")
     worklog = _session_worklog(args)
@@ -1323,10 +1103,6 @@ def _profile_session(args) -> int:
             report = replay(records, dbx)
     finally:
         _write_obs(args, tracer, worklog)
-    if report.statements == 0:
-        print(f"error: no statement records in {args.session}",
-              file=sys.stderr)
-        return EXIT_USAGE
     print(
         f"== profiled replay: {report.statements} statement(s) in "
         f"{report.wall_s:.2f}s ({report.errors} error(s)) =="
@@ -1490,9 +1266,11 @@ def build_parser() -> argparse.ArgumentParser:
                         "pipe-drop faults mid-run and fail (exit 2) "
                         "unless the supervisor fully recovers")
     p.add_argument("--verify-sequential", action="store_true",
-                   help="with --procs: also replay sequentially "
-                        "in-process and fail (exit 2) on any "
-                        "per-statement digest mismatch")
+                   help="with --procs: serve with admission wide open, "
+                        "no deadline and no breakers (as --chaos and "
+                        "replay --concurrency do), also replay "
+                        "sequentially in-process, and fail (exit 2) on "
+                        "any per-statement digest mismatch")
     p.add_argument("--drain-grace-ms", type=float, default=5000.0,
                    help="how long a graceful drain waits for in-flight "
                         "statements before cancelling them")

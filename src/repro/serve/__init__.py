@@ -16,8 +16,10 @@ a multi-session server without touching the algorithms underneath:
   at the existing budget checkpoints, and retry-with-backoff-and-jitter
   for transient faults;
 * :mod:`repro.serve.stress` — dependency-aware concurrent replay of a
-  captured workload log (``repro replay --concurrency N``) and the
-  ``repro serve --stress`` driver;
+  captured workload log and :func:`run_stress`, the one stress driver
+  behind ``repro replay --concurrency N`` and ``repro serve --stress``
+  (with or without ``--procs``): verification against a sequential
+  replay, the run gates and the report;
 * :mod:`repro.serve.durability` — the durable catalog: a checksummed
   write-ahead log fsync'd before acks, snapshot compaction, and
   whole-process crash recovery (``serve --procs N --state-dir DIR``),
@@ -34,14 +36,19 @@ from repro.serve.registry import ViewRegistry
 from repro.serve.stress import (
     ConcurrentReplayReport,
     StatementResult,
+    chaos_plan,
+    deterministic_config,
     replay_concurrent,
+    run_stress,
     statement_scopes,
+    workload_statements,
 )
 
 __all__ = [
     "ViewRegistry",
     "BreakerConfig", "BreakerState", "CircuitBreaker",
     "ServeConfig", "SessionExecutor", "StatementTicket",
-    "ConcurrentReplayReport", "StatementResult",
-    "replay_concurrent", "statement_scopes",
+    "ConcurrentReplayReport", "StatementResult", "chaos_plan",
+    "deterministic_config", "replay_concurrent", "run_stress",
+    "statement_scopes", "workload_statements",
 ]

@@ -703,6 +703,11 @@ class SessionExecutor:
 
     # -- introspection / shutdown ------------------------------------------
 
+    @property
+    def metrics(self) -> MetricsRegistry:
+        """The registry this executor counts into."""
+        return self._metrics
+
     def breaker_states(self) -> Dict[str, str]:
         """Dataset -> breaker state name (empty when disabled)."""
         if self._breakers is None:

@@ -13,7 +13,7 @@ and the supervisor treats that exactly like a worker death.
 
 Payloads are JSON, not pickle, on purpose: results cross the pipe as
 the same JSON-able *digest payloads* the replay harness hashes
-(:func:`repro.serve.stress._result_payload`), so nothing that crosses
+(:func:`repro.serve.stress.result_payload`), so nothing that crosses
 the process boundary can smuggle unpicklable state, and a captured
 frame stream is inspectable with ``jq``.
 

@@ -532,8 +532,12 @@ class ProcSupervisor:
             }
 
     def _journal_locked(self, req: _Request) -> None:
+        # a mutation that landed moves the routing map as WAL replay
+        # does; a DROP unmaps its view only here, so one that failed
+        # leaves a live view routed
         shard = self._shards[req.shard]
         shard.journal.append(req.sql, req.session, req.write)
+        route_write(self._view_shard, req.write, req.shard)
         self._note_journal_len_locked(shard)
 
     def _note_journal_len_locked(self, shard: _Shard) -> None:
@@ -707,7 +711,9 @@ class ProcSupervisor:
         their catalog via a synthetic ``SHOW`` part.  ``EXPLAIN`` is
         routed like its inner statement, but only the primary part of a
         statement with a :func:`~repro.query.ast.catalog_write` is
-        journaled and moves the routing map.
+        journaled and moves the routing map: a ``CREATE`` maps its view
+        here, so statements queued behind it reach its shard, and a
+        ``DROP`` unmaps it once it lands (:meth:`_journal_locked`).
         """
         nshards = len(self._shards)
         inner = stmt.inner if isinstance(stmt, ExplainStatement) else stmt
@@ -731,7 +737,8 @@ class ProcSupervisor:
             with self._lock:
                 if view is not None:
                     shard = self._view_shard.get(view, self._shard_of(view))
-                route_write(self._view_shard, write, shard)
+                if write is not None and write[0] == "create":
+                    self._view_shard[write[1]] = shard
         parts = [(shard, sql, True, write)]
         if isinstance(inner, DropCadViewStatement):
             parts += [

@@ -18,20 +18,24 @@ construction:
   forked fault injector** (:meth:`~repro.robustness.faults.
   FaultInjector.fork`) so counting faults fire identically no matter
   how worker threads interleave.
-* In deterministic mode the queue is sized to never reject, deadlines
-  are off, and **circuit breakers are disabled** — breaker state
-  depends on cross-statement completion order, which is exactly the
-  nondeterminism replay must exclude.  ``repro serve --stress`` flips
-  all three back on to exercise rejections, the watchdog and the
-  breakers under load.
+* A deterministic run uses :func:`deterministic_config`: a queue sized
+  to never reject, no deadline, and **no circuit breakers** — breaker
+  state depends on cross-statement completion order, which is exactly
+  the nondeterminism replay must exclude.  An unverified
+  ``repro serve --stress`` keeps all three on to exercise rejections,
+  the watchdog and the breakers under load.
 
 Each statement's terminal state is captured as a :class:`StatementResult`
 whose ``digest`` hashes the things the paper's user sees — status,
 degradation rungs, and the full IUnit contents of a built view — and
 deliberately nothing wall-clock.  Two replays of the same log at any
-two concurrency levels must produce identical digest sequences; the
-``--verify-sequential`` CI gate and the tier-1 determinism test both
-reduce to comparing those lists.
+two concurrency levels must produce identical digest sequences.
+
+:func:`run_stress` is the one driver behind ``replay --concurrency``,
+``serve --stress`` and ``serve --stress --procs``: it replays the log
+through a built server, compares the digests with a sequential replay
+when asked to, applies the run gates, and returns a :class:`StressRun`
+holding the report.
 """
 
 from __future__ import annotations
@@ -39,20 +43,23 @@ from __future__ import annotations
 import hashlib
 import json
 import queue
+import re
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import (
     TYPE_CHECKING,
+    Any,
+    Callable,
     Dict,
     FrozenSet,
     Iterable,
     List,
     Optional,
     Tuple,
+    TypeVar,
 )
 
 from repro.errors import ReproError, ServeError
-from repro.obs.metrics import MetricsRegistry
 from repro.query.ast import (
     CreateCadViewStatement,
     DropCadViewStatement,
@@ -64,6 +71,7 @@ from repro.query.ast import (
 from repro.obs.worklog import statement_kind
 from repro.query.parser import parse
 from repro.serve.executor import (
+    OUTCOMES,
     ServeConfig,
     SessionExecutor,
     StatementTicket,
@@ -75,10 +83,17 @@ if TYPE_CHECKING:  # pragma: no cover - typing only, avoids serve<->core cycle
 __all__ = [
     "StatementResult",
     "ConcurrentReplayReport",
+    "StressRun",
+    "chaos_plan",
+    "deterministic_config",
     "replay_concurrent",
+    "run_stress",
     "statement_scopes",
     "result_payload",
+    "workload_statements",
 ]
+
+_Config = TypeVar("_Config")
 
 ALL_VIEWS = "*"
 """Scope marker: the statement touches the entire view catalog."""
@@ -215,10 +230,6 @@ class ConcurrentReplayReport:
             counts[res.status] = counts.get(res.status, 0) + 1
         return dict(sorted(counts.items()))
 
-    def digests(self) -> List[str]:
-        """Per-statement digests, in statement order."""
-        return [res.digest for res in self.results]
-
     def work_totals(self) -> Dict[str, int]:
         """Summed deterministic work counters over all statements.
 
@@ -294,34 +305,78 @@ class ConcurrentReplayReport:
         return "\n".join(lines)
 
 
+def workload_statements(records: Iterable[Dict[str, object]]) -> List[str]:
+    """The statement texts of a workload log, in order.
+
+    ``records`` is :func:`~repro.obs.worklog.read_worklog` output;
+    session headers, malformed records and blank statements are
+    skipped, as the sequential replay skips them.
+    """
+    return [
+        str(rec["statement"]) for rec in records
+        if rec.get("kind") == "statement"
+        and isinstance(rec.get("statement"), str)
+        and str(rec["statement"]).strip()
+    ]
+
+
+def deterministic_config(config: _Config, statements: int) -> _Config:
+    """A :class:`ServeConfig` or ``ProcServeConfig`` whose answers can
+    be compared with a sequential replay of ``statements`` statements:
+    admission wide open (nothing is rejected), no deadline and no
+    breakers, all three of which act on wall-clock completion order."""
+    return replace(
+        config, queue_limit=statements + 1, deadline_s=None, breaker=None,
+    )
+
+
+def chaos_plan(statements: int) -> str:
+    """An index-narrowed chaos plan over a ``statements``-long workload.
+
+    Counting faults (never probabilistic) at fixed statement indices,
+    so the same workload always produces the same chaos schedule — the
+    precondition for ``--chaos --verify-sequential`` byte-identity.
+    One crash early, one hang mid-run, one pipe drop late; short
+    workloads get however many distinct indices they can hold.
+    """
+    sites = []
+    crash = statements // 4
+    sites.append(f"proc.worker_crash:{crash}=crash*1")
+    hang = max(crash + 1, statements // 2)
+    if hang < statements:
+        # the sleep must outlive the supervisor's heartbeat timeout so
+        # the missed-heartbeat detector (not the pipe) catches it
+        sites.append(f"proc.worker_hang:{hang}=sleep:2.0*1")
+    drop = max(hang + 1, (3 * statements) // 4)
+    if drop < statements:
+        sites.append(f"proc.pipe_drop:{drop}=crash*1")
+    return ",".join(sites)
+
+
 def replay_concurrent(
     records: Iterable[Dict[str, object]],
     dbx: Optional["DBExplorer"] = None,
     concurrency: int = 1,
-    config: Optional[ServeConfig] = None,
-    metrics: Optional[MetricsRegistry] = None,
     executor: Optional[object] = None,
 ) -> ConcurrentReplayReport:
     """Replay a workload log through a worker pool, deterministically.
 
-    ``records`` is :func:`~repro.obs.worklog.read_worklog` output;
-    session headers and malformed records are skipped.  Without an
-    explicit ``config`` the executor is configured for determinism:
-    ``concurrency`` workers, a queue that never rejects, no deadline,
-    breakers off.  Passing a ``config`` (the stress driver does) keeps
-    the DAG scheduling but lets admission control, the watchdog and the
-    breakers all bite — rejected statements are recorded with outcome
-    ``rejected`` and their writes simply never happen, exactly like a
-    client that got a 503.
+    ``records`` is :func:`~repro.obs.worklog.read_worklog` output (see
+    :func:`workload_statements`).  Without an ``executor`` this builds
+    a :class:`SessionExecutor` over ``dbx`` with ``concurrency`` workers
+    and :func:`deterministic_config`, and closes it afterwards.
 
-    ``executor`` plugs in an external ticket source instead of a
-    freshly built :class:`SessionExecutor` — anything with the
+    ``executor`` plugs in a built server instead — anything with the
     ``submit(sql, session=..., faults=..., fault_index=...)`` /
-    ``breaker_states()`` surface, in practice a
-    :class:`~repro.serve.proc.supervisor.ProcSupervisor`.  An external
-    executor is *not* closed here (the caller owns its lifecycle, e.g.
-    to drain it gracefully afterwards), and ``dbx`` may then be
-    ``None``: proc tickets carry their own digest payloads.
+    ``breaker_states()`` surface: a :class:`SessionExecutor` (whose
+    ``dbx`` then forks the per-statement faults) or a
+    :class:`~repro.serve.proc.supervisor.ProcSupervisor` (proc tickets
+    carry their own digest payloads).  It is *not* closed here (the
+    caller owns its lifecycle, e.g. to drain it gracefully afterwards).
+    If its config lets admission control, the watchdog or the breakers
+    bite, rejected statements are recorded with outcome ``rejected``
+    and their writes simply never happen, exactly like a client that
+    got a 503.
 
     Returns a :class:`ConcurrentReplayReport` whose per-statement
     digests are comparable across concurrency levels — and across
@@ -329,14 +384,11 @@ def replay_concurrent(
     """
     if concurrency < 1:
         raise ValueError(f"concurrency must be >= 1, got {concurrency}")
+    if dbx is None:
+        dbx = getattr(executor, "dbx", None)
     if executor is None and dbx is None:
         raise ValueError("need a dbx to build an executor around")
-    sqls = [
-        str(rec["statement"]) for rec in records
-        if rec.get("kind") == "statement"
-        and isinstance(rec.get("statement"), str)
-        and str(rec["statement"]).strip()
-    ]
+    sqls = workload_statements(records)
     n = len(sqls)
     report = ConcurrentReplayReport(concurrency=concurrency)
     if n == 0:
@@ -350,13 +402,6 @@ def replay_concurrent(
         for j in dep_list:
             dependents[j].append(i)
 
-    if config is None:
-        config = ServeConfig(
-            workers=concurrency,
-            queue_limit=n + 1,   # deterministic replay never rejects
-            deadline_s=None,
-            breaker=None,        # state depends on completion order
-        )
     base_faults = dbx.faults if dbx is not None else None
     results: List[Optional[StatementResult]] = [None] * n
     finished: "queue.Queue[Tuple[int, Optional[StatementTicket]]]" = (
@@ -366,7 +411,9 @@ def replay_concurrent(
 
     own_executor = executor is None
     if executor is None:
-        executor = SessionExecutor(dbx, config, metrics=metrics)
+        executor = SessionExecutor(
+            dbx, deterministic_config(ServeConfig(workers=concurrency), n)
+        )
     t0 = time.perf_counter()
     try:
         def _submit(i: int) -> None:
@@ -410,6 +457,161 @@ def replay_concurrent(
     return report
 
 
+@dataclass
+class StressRun:
+    """What one :func:`run_stress` call found.
+
+    ``failures`` holds one line per failed gate, ``metrics`` the
+    snapshot ``--slo`` evaluates, and ``drain``/``chaos``/``telemetry``
+    a supervisor's state after the run (``None`` for a thread pool).
+    """
+
+    report: ConcurrentReplayReport
+    metrics: Dict[str, object]
+    failures: List[str] = field(default_factory=list)
+    mismatches: List[Tuple[int, str, str]] = field(default_factory=list)
+    drain: Optional[Dict[str, object]] = None
+    chaos: Optional[Dict[str, object]] = None
+    telemetry: Optional[Dict[str, object]] = None
+
+    def as_dict(self) -> Dict[str, object]:
+        """The ``--json`` document: the report plus a supervisor's state."""
+        payload = self.report.as_dict()
+        if self.drain is not None:
+            payload.update(
+                drain=self.drain, chaos=self.chaos, telemetry=self.telemetry,
+            )
+        return payload
+
+    def render(self) -> str:
+        """The human-readable report the CLI prints."""
+        lines = [self.report.render()]
+        if self.drain is not None:
+            drain, chaos, tel = self.drain, self.chaos, self.telemetry
+            lines += [
+                f"drain: cancelled={drain['cancelled']} "
+                f"clean={drain['clean']} exitcodes={drain['exitcodes']}",
+                f"chaos: deaths={chaos['deaths']} "
+                f"resubmits={chaos['resubmits']} "
+                f"max_restart_delay={chaos['max_restart_delay_s']:.3f}s "
+                f"wedged={chaos['wedged']}",
+                f"telemetry: frames={tel['frames']} "
+                f"workers={tel['workers_seen']} "
+                f"spans={tel['span_trees']} "
+                f"dropped={tel['dropped_total']:.0f}",
+            ]
+        return "\n".join(lines)
+
+
+def run_stress(
+    records: List[Dict[str, object]],
+    server: Any,
+    chaos: bool = False,
+    baseline: Optional[Callable[[], "DBExplorer"]] = None,
+    corrupt_lines: int = 0,
+) -> StressRun:
+    """Replay ``records`` through a built ``server``, then gate the run.
+
+    ``server`` is a :class:`SessionExecutor` or a
+    :class:`~repro.serve.proc.ProcSupervisor` (drained here after the
+    replay; closing either stays with the caller).  Every statement
+    must reach a terminal outcome, a supervisor must pass
+    :func:`_supervisor_gates`, and with ``baseline``, a factory for an
+    explorer configured like the server, every digest must equal that
+    of a sequential replay through it.  A verified server should run
+    :func:`deterministic_config`, or its admission rejections read as
+    wrong answers.
+    """
+    supervisor = hasattr(server, "chaos_stats")
+    report = replay_concurrent(
+        records, executor=server,
+        concurrency=(
+            server.config.shards if supervisor else server.config.workers
+        ),
+    )
+    report.corrupt_lines = corrupt_lines
+    if supervisor:
+        drain = server.drain()
+        run = StressRun(
+            report, server.telemetry.cluster_registry().snapshot(),
+            drain=drain, chaos=server.chaos_stats(),
+            telemetry=server.telemetry.stats(),
+        )
+        run.failures = _supervisor_gates(
+            run.chaos, run.metrics.get("counters", {}),
+            len(report.results), chaos,
+        )
+    else:
+        run = StressRun(report, server.metrics.snapshot())
+    dropped = [
+        res.index for res in report.results if res.outcome not in OUTCOMES
+    ]
+    if dropped:
+        run.failures.append(
+            f"statements without a terminal outcome: {dropped}"
+        )
+    if baseline is not None:
+        sequential = replay_concurrent(records, baseline(), concurrency=1)
+        run.mismatches = sequential.mismatches(report)
+        if run.mismatches:
+            run.failures.append(
+                f"{len(run.mismatches)} digest mismatch(es) vs the "
+                "sequential replay"
+            )
+    return run
+
+
+def _supervisor_gates(
+    stats: Dict[str, object],
+    counters: Dict[str, float],
+    executed: int,
+    chaos: bool,
+) -> List[str]:
+    """The supervision-tree gates over ``chaos_stats()`` and the
+    cluster registry's counters: no ticket wedged, no restart waited
+    past the backoff cap, and a ``chaos`` run saw a worker death (else
+    it proved nothing) while a calm run saw none; a ``chaos`` run also
+    conserves statements and counts its telemetry drops."""
+    failures = []
+    if stats["wedged"]:
+        failures.append(f"{stats['wedged']} ticket(s) never resolved")
+    if stats["max_restart_delay_s"] > stats["backoff_cap_s"] + 1e-9:
+        failures.append(
+            f"restart delay {stats['max_restart_delay_s']:.3f}s "
+            f"exceeded the backoff cap {stats['backoff_cap_s']:.3f}s"
+        )
+    if chaos and not stats["total_deaths"] and executed:
+        failures.append(
+            "chaos run injected no worker deaths (vacuous pass)"
+        )
+    if not chaos and stats["total_deaths"]:
+        failures.append(
+            f"{stats['total_deaths']} worker death(s) in a run without "
+            f"--chaos: {stats['death_log']}"
+        )
+    if chaos:
+        # statement conservation: the parent-side per-shard completion
+        # counters (plus the unrouted leg) must sum exactly to the
+        # driver's statement count, worker deaths notwithstanding —
+        # and telemetry losses must be *counted*, never silent
+        completed = sum(
+            value for name, value in counters.items()
+            if re.fullmatch(r"proc\.s\d+\.completed", name)
+        ) + counters.get("proc.unrouted.completed", 0.0)
+        if int(completed) != executed:
+            failures.append(
+                f"statement conservation broken: per-shard completed "
+                f"counters sum to {int(completed)}, driver executed "
+                f"{executed}"
+            )
+        if "proc.telemetry.dropped" not in counters:
+            failures.append(
+                "cluster metrics lack the proc.telemetry.dropped "
+                "counter (drops must be counted, even at zero)"
+            )
+    return failures
+
+
 def _result_of(
     index: int,
     sql: str,
@@ -426,7 +628,7 @@ def _result_of(
         return StatementResult(
             index=index, statement=sql, kind=kind,
             session=f"s{index}", status="rejected", outcome="rejected",
-            digest=_digest("rejected", [], None),
+            digest=_digest_payload("rejected", [], None),
             error=f"{type(error).__name__}: {error}"
             if error is not None else None,
         )
@@ -437,7 +639,6 @@ def _result_of(
         # worker's session state is in another process)
         degradations = list(ticket.degradations or [])
         payload = ticket.result_payload
-        work = getattr(ticket, "work", None)
     else:
         session = dbx.session(ticket.session) if dbx is not None else None
         report = session.last_report if session is not None else None
@@ -446,10 +647,10 @@ def _result_of(
             if report is not None else []
         )
         payload = result_payload(ticket.result)
-        # the executor stamped the counters on the ticket at execution
-        # time; session.last_work would race with later statements on
-        # the same session
-        work = getattr(ticket, "work", None)
+    # the counters were stamped on the ticket at execution time;
+    # session.last_work would race with later statements on the same
+    # session
+    work = getattr(ticket, "work", None)
     return StatementResult(
         index=index,
         statement=sql,
@@ -468,12 +669,6 @@ def _result_of(
         attempts=ticket.attempts,
         work=dict(work) if work else None,
     )
-
-
-def _digest(
-    status: str, degradations: List[str], result: Optional[object]
-) -> str:
-    return _digest_payload(status, degradations, result_payload(result))
 
 
 def _digest_payload(
@@ -507,10 +702,6 @@ def result_payload(result: Optional[object]) -> object:
     wall-clock timings).  Both serving modes digest exactly this form —
     the proc workers compute it *before* the result crosses the pipe.
     """
-    return _result_payload(result)
-
-
-def _result_payload(result: Optional[object]) -> object:
     # lazy imports: repro.core imports repro.serve at module load; the
     # reverse edge must stay runtime-only
     from repro.core.cadview import CADView

@@ -345,6 +345,19 @@ class TestReplayCommand:
             "ok", "degraded", "rejected", "failed"
         }
 
+    def test_verified_concurrent_replay_json_is_one_document(
+        self, capsys
+    ):
+        rc = main([
+            "replay", self.SESSION, "--rows", "2000",
+            "--concurrency", "2", "--verify-sequential", "--json",
+        ])
+        captured = capsys.readouterr()
+        assert rc == EXIT_OK, captured.err
+        report = json.loads(captured.out)
+        assert report["statements"] == 17
+        assert "verified: 17 statement(s)" in captured.err
+
     def test_concurrent_replay_rejects_bad_concurrency(self, capsys):
         rc = main([
             "replay", self.SESSION, "--rows", "1000",

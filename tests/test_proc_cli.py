@@ -172,6 +172,49 @@ class TestServeProcs:
         assert all(r["proc"]["shard"] == 0 for r in statements)
 
 
+class TestStressDriverModes:
+    """``replay --concurrency``, ``serve --stress`` and ``serve --stress
+    --procs`` run one stress driver, so they share its contracts."""
+
+    SESSION = str(REPO / "examples" / "session_nba.worklog.jsonl")
+
+    def test_calm_verified_proc_run_rejects_nothing(self, capsys):
+        """A verified run serves with admission wide open, so a calm
+        2-shard run of the canned session answers every statement."""
+        rc = main([
+            "serve", self.SESSION, "--stress", "--rows", "2000",
+            "--procs", "2", "--verify-sequential", "--json",
+        ])
+        captured = capsys.readouterr()
+        assert rc == EXIT_OK, captured.err
+        report = json.loads(captured.out)
+        assert "rejected" not in report["outcomes"]
+        assert "verified: 17 statement(s)" in captured.err
+
+    def test_every_mode_reports_empty_logs_and_parseable_json(
+        self, tmp_path, capsys
+    ):
+        header_only = tmp_path / "empty.jsonl"
+        header_only.write_text(json.dumps(
+            {"kind": "session", "dataset": "usedcars", "rows": 300}
+        ) + "\n")
+        modes = [
+            ["replay", "--concurrency", "2", "--verify-sequential"],
+            ["serve", "--stress"],
+            ["serve", "--stress", "--procs", "1", "--verify-sequential"],
+        ]
+        for command, *flags in modes:
+            rc = main([command, str(header_only), *flags, "--json"])
+            captured = capsys.readouterr()
+            assert rc == EXIT_USAGE, (command, flags, captured)
+            assert "no statement records" in captured.err, flags
+            rc = main([command, _workload(tmp_path), *flags, "--json"])
+            captured = capsys.readouterr()
+            assert rc == EXIT_OK, (command, flags, captured.err)
+            report = json.loads(captured.out)
+            assert report["statements"] == len(SQLS), flags
+
+
 class TestSigtermGracefulDrain:
     def test_sigterm_mid_run_exits_zero_and_flushes(self, tmp_path):
         """SIGTERM during a proc-mode stress run: admission stops,

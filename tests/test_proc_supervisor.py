@@ -677,6 +677,26 @@ class TestCatalogJournal:
                 assert ticket.outcome == "ok", ticket.error
             assert metrics.gauge("proc.s0.journal_len").value == 0.0
 
+    def test_failed_drop_keeps_the_view_routed(self):
+        """A DROP whose worker dies (and is not resubmitted) drops
+        nothing, so the view's statements must still reach its shard."""
+        assert zlib.crc32(b"data") % 2 != zlib.crc32(b"v") % 2
+        spec = _spec(faults_spec="proc.worker_crash:1=crash*1")
+        with ProcSupervisor(
+            spec, _config(shards=2, proc_retries=0)
+        ) as sup:
+            assert sup.wait_ready(60)
+            outcomes = []
+            for i, sql in enumerate(
+                [CREATE, "DROP CADVIEW v", REORDER, "SHOW CADVIEWS"]
+            ):
+                ticket = sup.submit(sql, session=f"s{i}", fault_index=i)
+                assert ticket.wait(120)
+                outcomes.append((ticket.outcome, ticket.error))
+            assert [outcome for outcome, _ in outcomes] == \
+                ["ok", "failed", "ok", "ok"], outcomes
+            assert ticket.result_payload == ["v"]
+
 
 class TestEofGrace:
     def test_worker_exiting_a_second_after_eof_is_a_drain(self):
