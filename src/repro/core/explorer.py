@@ -422,19 +422,12 @@ class DBExplorer:
         ]
 
     def _select(self, stmt: SelectStatement) -> Table:
-        table = self.engine.table(stmt.table)
-        result = self.engine.select(
-            table, stmt.where, stmt.columns or None, limit=None
+        return self.engine.select(
+            self.engine.table(stmt.table), stmt.where,
+            stmt.columns or None, stmt.limit,
+            by=[k.attribute for k in stmt.order_by],
+            ascending=[k.ascending for k in stmt.order_by],
         )
-        if stmt.order_by:
-            result = self.engine.order_by(
-                result,
-                [k.attribute for k in stmt.order_by],
-                [k.ascending for k in stmt.order_by],
-            )
-        if stmt.limit is not None:
-            result = result.head(stmt.limit)
-        return result
 
     def _create_cadview(
         self,

@@ -151,11 +151,11 @@ class Column:
 
     def take(self, indices: np.ndarray) -> "Column":
         """A new column containing rows at ``indices`` (shares categories)."""
-        return Column(self.attribute, self._data[indices], self._categories or None)
+        return Column(self.attribute, self._data[indices], self._categories)
 
     def mask(self, boolmask: np.ndarray) -> "Column":
         """A new column with rows where ``boolmask`` is True."""
-        return Column(self.attribute, self._data[boolmask], self._categories or None)
+        return Column(self.attribute, self._data[boolmask], self._categories)
 
     def code_of(self, value: str) -> int:
         """Code for a categorical ``value``; ``-1`` if it never occurs."""

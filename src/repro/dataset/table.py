@@ -123,15 +123,20 @@ class Table:
 
     def filter(self, mask: np.ndarray) -> "Table":
         """Rows where the boolean ``mask`` is True."""
+        return self.take(self.row_ids(mask))
+
+    def row_ids(self, mask: np.ndarray) -> np.ndarray:
+        """Ids of the rows where the boolean ``mask`` is True, ascending.
+
+        Gathering a column at these ids (:meth:`take`) returns what a
+        boolean gather would, at a fraction of its cost per column.
+        """
         mask = np.asarray(mask, dtype=bool)
         if mask.shape != (self._nrows,):
             raise SchemaError(
                 f"mask length {mask.shape} does not match table ({self._nrows},)"
             )
-        return Table(
-            self.schema,
-            {n: c.mask(mask) for n, c in self._columns.items()},
-        )
+        return np.flatnonzero(mask)
 
     def take(self, indices: Sequence[int]) -> "Table":
         """Rows at ``indices``, in the given order (may repeat)."""

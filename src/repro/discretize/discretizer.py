@@ -124,13 +124,14 @@ class DiscretizedView:
     def restrict(self, mask: np.ndarray) -> "DiscretizedView":
         """The view restricted to rows where ``mask`` is True.
 
-        Labels/bins are shared; code arrays are sliced.  Used to carve
-        out the per-pivot-value partitions that get clustered.
+        Labels/bins are shared; code arrays are gathered at the kept
+        rows.  Used to carve out the per-pivot-value partitions that
+        get clustered.
         """
-        mask = np.asarray(mask, dtype=bool)
+        rows = self.table.row_ids(mask)
         return DiscretizedView(
-            self.table.filter(mask),
-            {n: c[mask] for n, c in self._codes.items()},
+            self.table.take(rows),
+            {n: c[rows] for n, c in self._codes.items()},
             self._labels,
             self._bins,
         )

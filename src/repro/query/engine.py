@@ -11,6 +11,7 @@ from typing import Dict, Optional, Sequence
 
 import numpy as np
 
+from repro.dataset.column import Column
 from repro.dataset.table import Table
 from repro.errors import QueryError
 from repro.obs import work
@@ -94,21 +95,30 @@ class QueryEngine:
         predicate: Optional[Predicate] = None,
         columns: Optional[Sequence[str]] = None,
         limit: Optional[int] = None,
+        by: Sequence[str] = (),
+        ascending: Sequence[bool] = (),
     ) -> Table:
-        """``SELECT columns FROM table WHERE predicate LIMIT limit``.
+        """``SELECT columns FROM table WHERE predicate ORDER BY by LIMIT limit``.
 
         ``columns=None`` means ``*``; ``predicate=None`` means no WHERE.
+        The result is materialized late: the WHERE mask becomes row ids
+        once, the ids are sorted on the ``by`` keys as ``table`` holds
+        them (so a key need not be selected) and cut to ``limit``, and
+        only then are the selected columns gathered at the kept ids.
         """
         start = time.perf_counter()
         work.add("work.query.rows_scanned", len(table))
-        if predicate is not None and not isinstance(predicate, TruePred):
+        if predicate is None or isinstance(predicate, TruePred):
+            rows = np.arange(len(table))
+        else:
             work.add("work.query.predicate_evals", len(table))
-        predicate = predicate or TruePred()
-        result = table.filter(predicate.mask(table))
-        if columns is not None:
-            result = result.project(columns)
+            rows = table.row_ids(predicate.mask(table))
+        out = table if columns is None else table.project(columns)
+        rows = _order_rows(table, rows, by, ascending)
         if limit is not None:
-            result = result.head(limit)
+            # a negative LIMIT keeps no rows, as Table.head does
+            rows = rows[:max(limit, 0)]
+        result = out.take(rows)
         reg = registry()
         reg.counter("query.select.calls").inc()
         reg.counter("query.rows_returned").inc(len(result))
@@ -165,23 +175,43 @@ class QueryEngine:
 
         Categorical keys sort by value string; missing values sort last.
         """
-        if len(by) != len(ascending):
-            raise QueryError("order_by: by and ascending differ in length")
-        order = np.arange(len(table))
-        # numpy lexsort-style: apply keys from least to most significant
-        for name, asc in zip(reversed(by), reversed(ascending)):
-            col = table[name]
-            if col.attribute.is_categorical:
-                # sort by the decoded strings so order is alphabetical
-                decode = np.array(
-                    list(col.categories) + [chr(0x10FFFF)], dtype=object
-                )
-                keys = decode[col.codes[order]]
-            else:
-                nums = col.numbers[order]
-                keys = np.where(np.isnan(nums), np.inf, nums)
-            idx = np.argsort(keys, kind="stable")
-            if not asc:
-                idx = idx[::-1]
-            order = order[idx]
-        return table.take(order)
+        return table.take(
+            _order_rows(table, np.arange(len(table)), by, ascending)
+        )
+
+
+def _order_rows(
+    table: Table,
+    rows: np.ndarray,
+    by: Sequence[str],
+    ascending: Sequence[bool],
+) -> np.ndarray:
+    """``rows`` (ids into ``table``) stably sorted on the ``by`` keys.
+
+    numpy lexsort-style, keys apply from least to most significant; a
+    descending key reverses its stable ascending order.
+    """
+    if len(by) != len(ascending):
+        raise QueryError("order_by: by and ascending differ in length")
+    for name, asc in zip(reversed(by), reversed(ascending)):
+        idx = np.argsort(_sort_keys(table[name], rows), kind="stable")
+        if not asc:
+            idx = idx[::-1]
+        rows = rows[idx]
+    return rows
+
+
+def _sort_keys(col: Column, rows: np.ndarray) -> np.ndarray:
+    """Sort keys of ``col`` at ``rows``: NaN numbers become +inf, and
+    categorical codes become the rank of their value string among the
+    column's categories, missing ranked as ``chr(0x10FFFF)`` (last)."""
+    if col.attribute.is_categorical:
+        # equal strings share a rank, so the stable integer sort is the
+        # permutation a stable sort of the decoded strings gives
+        _, ranks = np.unique(
+            np.array(col.categories + (chr(0x10FFFF),), dtype=object),
+            return_inverse=True,
+        )
+        return ranks[col.codes[rows]]
+    nums = col.numbers[rows]
+    return np.where(np.isnan(nums), np.inf, nums)

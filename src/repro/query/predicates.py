@@ -147,11 +147,14 @@ class In(_Leaf):
     def mask(self, table: Table) -> np.ndarray:
         col = table[self.attr]
         if col.attribute.is_categorical:
-            codes = [col.code_of(str(v)) for v in self.values]
-            codes = [c for c in codes if c >= 0]
-            if not codes:
-                return np.zeros(len(table), bool)
-            return np.isin(col.codes, codes)
+            # one flag per code; the spare last slot, which a missing
+            # code (-1) indexes, stays False
+            hit = np.zeros(len(col.categories) + 1, dtype=bool)
+            for v in self.values:
+                code = col.code_of(str(v))
+                if code >= 0:
+                    hit[code] = True
+            return hit[col.codes]
         try:
             targets = [float(v) for v in self.values]
         except (TypeError, ValueError):

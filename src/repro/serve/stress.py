@@ -68,6 +68,7 @@ from repro.query.ast import (
     ReorderRowsStatement,
     ShowCadViewsStatement,
 )
+from repro.obs.metrics import MetricsRegistry, set_registry
 from repro.obs.worklog import statement_kind
 from repro.query.parser import parse
 from repro.serve.executor import (
@@ -551,7 +552,15 @@ def run_stress(
             f"statements without a terminal outcome: {dropped}"
         )
     if baseline is not None:
-        sequential = replay_concurrent(records, baseline(), concurrency=1)
+        # the baseline counts into a registry of its own, so the
+        # process registry (``--metrics``) holds the served run alone
+        previous = set_registry(MetricsRegistry())
+        try:
+            sequential = replay_concurrent(
+                records, baseline(), concurrency=1
+            )
+        finally:
+            set_registry(previous)
         run.mismatches = sequential.mismatches(report)
         if run.mismatches:
             run.failures.append(

@@ -358,6 +358,28 @@ class TestReplayCommand:
         assert report["statements"] == 17
         assert "verified: 17 statement(s)" in captured.err
 
+    def test_verified_replay_metrics_count_the_run_once(
+        self, tmp_path, capsys
+    ):
+        from repro.obs import MetricsRegistry, set_registry
+
+        metrics = tmp_path / "m.json"
+        previous = set_registry(MetricsRegistry())
+        try:
+            rc = main([
+                "replay", self.SESSION, "--rows", "2000",
+                "--concurrency", "2", "--verify-sequential",
+                "--metrics", str(metrics),
+            ])
+        finally:
+            set_registry(previous)
+        assert rc == EXIT_OK, capsys.readouterr().err
+        counters = json.loads(metrics.read_text())["counters"]
+        # the sequential baseline's statements are not counted again
+        assert counters["serve.admitted"] == 17
+        assert counters["work.query.predicate_evals"] == 18_000
+        assert counters["query.select.calls"] == 10
+
     def test_concurrent_replay_rejects_bad_concurrency(self, capsys):
         rc = main([
             "replay", self.SESSION, "--rows", "1000",

@@ -48,6 +48,28 @@ class TestSelect:
         prices = [r["Price"] for r in t.iter_rows()]
         assert prices == sorted(prices, reverse=True)
 
+    def test_order_by_unselected_column(self, dbx):
+        narrow = dbx.execute(
+            "SELECT Make FROM UsedCars ORDER BY Price DESC LIMIT 3"
+        )
+        wide = dbx.execute(
+            "SELECT Make, Price FROM UsedCars ORDER BY Price DESC LIMIT 3"
+        )
+        assert narrow.schema.names == ("Make",)
+        assert narrow == wide.project(["Make"])
+
+    def test_order_by_selected_and_unselected_keys(self, dbx):
+        narrow = dbx.execute(
+            "SELECT Make, Model FROM UsedCars "
+            "ORDER BY Model DESC, Price LIMIT 8"
+        )
+        wide = dbx.execute(
+            "SELECT Make, Model, Price FROM UsedCars "
+            "ORDER BY Model DESC, Price LIMIT 8"
+        )
+        assert narrow.schema.names == ("Make", "Model")
+        assert narrow == wide.project(["Make", "Model"])
+
     def test_unknown_table(self, dbx):
         with pytest.raises(QueryError):
             dbx.execute("SELECT * FROM Nope")
