@@ -2,9 +2,14 @@
 
 Stdlib-only, so CI can run it without installing the package::
 
-    REPRO_BENCH_DIR=bench_out pytest benchmarks/ -k "not bench_"
+    REPRO_BENCH_DIR=bench_out python -m pytest -q -k "not test_bench_" \
+        benchmarks/bench_fig8_worst_case.py \
+        benchmarks/bench_workload_latency.py
     python benchmarks/regress.py --baseline benchmarks/baselines \
         --current bench_out --out regress_verdict.json
+
+The first command (:data:`BENCH_COMMAND`) runs the tests that write
+each ``BENCH_*.json`` and skips the ``test_bench_*`` timing loops.
 
 Every ``BENCH_<name>.json`` in the baseline directory is matched with
 the same file in the current directory and their scalar latency leaves
@@ -37,9 +42,9 @@ Exit codes: 0 verdict ok (or improvements only), 1 regression found,
 compared leaf, so CI can render the diff without re-running anything.
 
 Re-baselining: when a deliberate change moves the numbers, regenerate
-with ``REPRO_BENCH_DIR=benchmarks/baselines pytest benchmarks/ -k
-"not bench_"`` on a quiet machine and commit the diff — the verdict
-output of the failing run belongs in the PR description.
+with :data:`BENCH_COMMAND` under ``REPRO_BENCH_DIR=benchmarks/baselines``
+on a quiet machine and commit the diff — the verdict output of the
+failing run belongs in the PR description.
 """
 
 from __future__ import annotations
@@ -50,6 +55,14 @@ import os
 import re
 import sys
 from typing import Dict, Iterator, List, Tuple
+
+#: The command that writes fresh ``BENCH_*.json`` files into
+#: ``$REPRO_BENCH_DIR`` (the CI ``bench-regression`` job runs it too).
+BENCH_COMMAND = (
+    'python -m pytest -q -k "not test_bench_" '
+    "benchmarks/bench_fig8_worst_case.py "
+    "benchmarks/bench_workload_latency.py"
+)
 
 # continuous leaves: relative multiplier + absolute slack (noise floor
 # for sub-10ms phases where a scheduler hiccup dwarfs the signal)
@@ -166,8 +179,8 @@ def compare_work(
         problems.append(
             f"{name}: current run emits a 'work' counter block but the "
             "baseline has none — re-baseline needed (run "
-            "REPRO_BENCH_DIR=benchmarks/baselines pytest benchmarks/ "
-            "-k 'not bench_' and commit the refreshed BENCH_*.json)"
+            f"REPRO_BENCH_DIR=benchmarks/baselines {BENCH_COMMAND} "
+            "and commit the refreshed BENCH_*.json)"
         )
         return records, problems
     for path, base_count in sorted(base.items()):

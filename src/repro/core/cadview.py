@@ -18,8 +18,8 @@ from repro.core.profile import BuildProfile
 from repro.iunits.iunit import IUnit
 from repro.iunits.similarity import (
     default_tau,
-    iunit_similarity,
     ranked_list_distance,
+    similarities,
 )
 
 __all__ = ["CADViewConfig", "IUnitRef", "CADView"]
@@ -200,18 +200,18 @@ class CADView:
         """
         anchor = self.iunit(pivot_value, iunit_id)
         threshold = self.tau if threshold is None else threshold
-        hits: List[Tuple[IUnitRef, float]] = []
-        for value in self.pivot_values:
-            for unit in self.rows[value]:
-                if (
-                    not include_self
-                    and value == pivot_value
-                    and unit.uid == iunit_id
-                ):
-                    continue
-                sim = iunit_similarity(anchor, unit)
-                if sim >= threshold:
-                    hits.append((IUnitRef(value, unit.uid), sim))
+        others = [
+            (value, unit)
+            for value in self.pivot_values
+            for unit in self.rows[value]
+            if include_self or value != pivot_value or unit.uid != iunit_id
+        ]
+        sims = similarities(anchor, [unit for _, unit in others])
+        hits: List[Tuple[IUnitRef, float]] = [
+            (IUnitRef(value, unit.uid), sim)
+            for (value, unit), sim in zip(others, sims)
+            if sim >= threshold
+        ]
         hits.sort(key=lambda h: (-h[1], h[0].pivot_value, h[0].iunit_id))
         return hits
 

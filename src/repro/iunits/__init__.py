@@ -24,7 +24,6 @@ from repro.iunits.ranking import (
     SizePreference,
 )
 from repro.iunits.similarity import (
-    cosine_similarity,
     default_tau,
     iunit_similarity,
     ranked_list_distance,
@@ -37,6 +36,6 @@ __all__ = [
     "PreferenceFunction", "SizePreference", "AttributePreference",
     "CompositePreference",
     "similarity_graph", "div_astar", "div_greedy", "diversified_topk",
-    "cosine_similarity", "iunit_similarity", "default_tau",
+    "iunit_similarity", "default_tau",
     "ranked_list_distance",
 ]

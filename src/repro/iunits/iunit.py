@@ -5,19 +5,38 @@ An IUnit is "an interesting group of values for the Compare Attributes"
 Attribute value.  Besides its display labels, an IUnit keeps the full
 per-attribute value-frequency distributions of its underlying cluster;
 those term-frequency vectors are what Algorithm 1 computes cosine
-similarity over.
+similarity over.  Each vector is scaled to unit length once, when the
+IUnit is made, so every later similarity is a dot product.
 """
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field
-from typing import Dict, Mapping, Optional, Tuple
+from typing import Mapping, Optional, Tuple
 
 import numpy as np
 
 from repro.errors import CADViewError
 
-__all__ = ["IUnit"]
+__all__ = ["IUnit", "unit_vector"]
+
+
+def unit_vector(counts) -> np.ndarray:
+    """``counts`` scaled to unit length; an all-zero vector stays zero.
+
+    The vector is pre-scaled by its max magnitude first, because
+    ``norm()`` squares entries and underflows to zero on subnormal
+    counts.  The ops run in this order, ``(a / max|a|) / norm``, so the
+    dot product of two unit vectors is the per-attribute cosine of
+    Algorithm 1 exactly (DESIGN §18).
+    """
+    a = np.asarray(counts, dtype=float)
+    scale = np.abs(a).max(initial=0.0)
+    if scale == 0:
+        return np.zeros_like(a)
+    a = a / scale
+    return a / np.linalg.norm(a)
 
 
 @dataclass(frozen=True)
@@ -42,6 +61,11 @@ class IUnit:
     uid:
         1-based position within its row after top-k ranking; ``None``
         for unranked candidates.
+    unit_vectors:
+        attribute -> :func:`unit_vector` of its distribution, what
+        Algorithm 1 multiplies.  Computed once, when the IUnit is made;
+        :meth:`with_uid` copies share them.  They stay off every
+        serialized form.
     """
 
     pivot_attribute: str
@@ -51,6 +75,9 @@ class IUnit:
     distributions: Mapping[str, np.ndarray]
     display: Mapping[str, Tuple[str, ...]]
     uid: Optional[int] = None
+    unit_vectors: Mapping[str, np.ndarray] = field(
+        init=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         missing = [
@@ -58,18 +85,20 @@ class IUnit:
         ]
         if missing:
             raise CADViewError(f"IUnit lacks distributions for {missing}")
+        object.__setattr__(self, "unit_vectors", {
+            a: unit_vector(self.distributions[a])
+            for a in self.compare_attributes
+        })
 
     def with_uid(self, uid: int) -> "IUnit":
-        """A copy carrying its 1-based rank within the CAD View row."""
-        return IUnit(
-            self.pivot_attribute,
-            self.pivot_value,
-            self.size,
-            self.compare_attributes,
-            self.distributions,
-            self.display,
-            uid,
-        )
+        """A copy carrying its 1-based rank within the CAD View row.
+
+        The copy skips the constructor and shares this IUnit's unit
+        vectors, so nothing is normalized again.
+        """
+        ranked = copy.copy(self)
+        object.__setattr__(ranked, "uid", uid)
+        return ranked
 
     def label_text(self, attribute: str) -> str:
         """Rendered label for one attribute, e.g. ``[Traverse LT] [Equinox LT]``.
@@ -100,7 +129,3 @@ class IUnit:
             f"IUnit({self.pivot_value} {tag}, size={self.size}, "
             f"{ {a: list(v) for a, v in self.display.items()} })"
         )
-
-
-# keep dataclasses import available for subclass users
-_ = field

@@ -25,7 +25,10 @@ counter                            one unit of work
 ``work.cluster.iterations``        clustering iteration completed
 ``work.cluster.reseeds``           empty cluster reseeded
 ``work.diversify.astar_expanded``  A* node popped from the frontier
-``work.diversify.similarity_pairs``  IUnit pair similarity computed
+``work.diversify.similarity_pairs``  IUnit pair scored by Algorithm 1
+                                   (an Algorithm 2 call scores each
+                                   cross-row pair once, not once per
+                                   direction; DESIGN §18)
 =================================  =====================================
 
 Kernels call the module-level :func:`add`; one call fans out three ways:

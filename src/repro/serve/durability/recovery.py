@@ -206,6 +206,10 @@ class CatalogJournal:
         worker replays and a snapshot stores."""
         return [entry for entry, _ in self._kept]
 
+    def holds(self, view: str) -> bool:
+        """True when a kept entry writes ``view``: the shard holds it."""
+        return any(kept_view == view for _, kept_view in self._kept)
+
     def append(
         self, sql: str, session: str, write: Optional[Tuple[str, str]]
     ) -> None:

@@ -73,6 +73,7 @@ from multiprocessing import connection, get_context
 from typing import Callable, Deque, Dict, List, Optional, Tuple
 
 from repro.errors import (
+    AnalysisError,
     DurabilityError,
     OverloadedError,
     ParseError,
@@ -96,6 +97,7 @@ from repro.query.ast import (
     ShowCadViewsStatement,
     catalog_write,
 )
+from repro.query.analyzer import Analyzer
 from repro.query.parser import parse
 from repro.robustness.faults import FaultInjector
 from repro.serve.breaker import (
@@ -112,6 +114,7 @@ from repro.serve.durability.recovery import (
 from repro.serve.durability.wal import WalWriter
 from repro.serve.executor import (
     StatementTicket,
+    _status_of,
     admit,
     ewma_s,
     open_ticket,
@@ -540,6 +543,24 @@ class ProcSupervisor:
         route_write(self._view_shard, req.write, req.shard)
         self._note_journal_len_locked(shard)
 
+    def _unmap_failed_create_locked(self, req: _Request) -> None:
+        # a CREATE maps its view at submit; once it has failed, the name
+        # stays routed only while its shard holds an earlier view of
+        # that name or another CREATE of it is still unanswered
+        view = req.write[1]
+        if self._view_shard.get(view) != req.shard:
+            return
+        if self._shards[req.shard].journal.holds(view):
+            return
+        for state in self._tickets.values():
+            for other in state.requests:
+                if (
+                    other is not req and other.write == req.write
+                    and other.part not in state.responses
+                ):
+                    return
+        del self._view_shard[view]
+
     def _note_journal_len_locked(self, shard: _Shard) -> None:
         self._metrics.gauge(
             f"proc.s{shard.index}.journal_len"
@@ -633,20 +654,22 @@ class ProcSupervisor:
             self._metrics.counter("proc.unrouted.completed").inc()
             raise
 
-        # parse on the caller thread: a statement that cannot parse
-        # fails here without ever crossing a pipe (the analyzer gate
-        # itself lives worker-side — only workers hold the tables)
+        # parse on the caller thread: a statement that cannot parse, or
+        # that names a view no shard holds, fails here without ever
+        # crossing a pipe (the rest of the analyzer gate lives
+        # worker-side — only workers hold the tables)
         try:
             stmt = parse(sql)
-        except ParseError as exc:
+            ticket.kind = statement_kind(stmt)
+            ticket.dataset = breaker_key(stmt)
+            self._check_view_known(stmt, sql)
+        except (ParseError, AnalysisError) as exc:
             self._metrics.counter("proc.unrouted.completed").inc()
             ticket.finish(
-                "failed", "parse_error", self._metrics, self._worklog,
+                "failed", _status_of(exc), self._metrics, self._worklog,
                 error=exc,
             )
             return ticket
-        ticket.kind = statement_kind(stmt)
-        ticket.dataset = breaker_key(stmt)
 
         state = _TicketState(ticket)
         parts = self._route(stmt, sql, session)
@@ -698,6 +721,33 @@ class ProcSupervisor:
         # the same view must land on the same shard across runs
         return zlib.crc32(str(name).encode("utf-8")) % len(self._shards)
 
+    def _check_view_known(self, stmt: object, sql: str) -> None:
+        """Raise the in-process QA501 for a statement naming a view
+        that no shard holds.
+
+        A shard's analyzer sees only its own catalog, so it would list
+        one shard's views.  The routing map holds every shard's, so the
+        analyzer runs here over the map's names and the diagnostic and
+        its suggestion read as they do in process.  Plain ``EXPLAIN``
+        is not analyzed, in process or here.
+        """
+        if isinstance(stmt, ExplainStatement) and not (
+            stmt.analyze or stmt.check
+        ):
+            return
+        view = _named_view(
+            stmt.inner if isinstance(stmt, ExplainStatement) else stmt
+        )
+        if view is None:
+            return
+        with self._lock:
+            if view in self._view_shard:
+                return
+            views = dict.fromkeys(self._view_shard)
+        report = Analyzer(views=views).analyze(stmt, text=sql)
+        if not report.ok:
+            raise AnalysisError(report)
+
     def _route(
         self, stmt: object, sql: str, session: str
     ) -> List[Tuple[int, str, bool, Optional[Tuple[str, str]]]]:
@@ -720,16 +770,11 @@ class ProcSupervisor:
         if isinstance(inner, ShowCadViewsStatement) and inner is stmt:
             return [(s, sql, s == 0, None) for s in range(nshards)]
         write = catalog_write(stmt)
-        view: Optional[str] = None
+        view = _named_view(inner)
         if isinstance(inner, (CreateCadViewStatement, SelectStatement,
                               DescribeStatement)):
             shard = self._shard_of(inner.table)
-        elif isinstance(inner, DropCadViewStatement):
-            view = inner.name
-        elif isinstance(inner, (HighlightSimilarStatement,
-                                ReorderRowsStatement)):
-            view = inner.view
-        else:
+        elif view is None:
             # EXPLAIN SHOW CADVIEWS (rendered text cannot merge) and any
             # future statement kind: shard 0
             shard = 0
@@ -1099,6 +1144,11 @@ class ProcSupervisor:
             if req.part in state.responses:
                 return  # already resolved (cancel raced a response)
             state.responses[req.part] = response
+            if (
+                req.write is not None and req.write[0] == "create"
+                and response.get("status") != "ok"
+            ):
+                self._unmap_failed_create_locked(req)
             if req.write is not None and response.get("status") == "ok":
                 if self._wal is not None:
                     # the ack is not releasable until the mutation is
@@ -1448,3 +1498,12 @@ class ProcSupervisor:
 
 def _death_counts(deaths: List[Dict[str, object]]) -> Dict[str, int]:
     return dict(sorted(Counter(str(d["cause"]) for d in deaths).items()))
+
+
+def _named_view(stmt: object) -> Optional[str]:
+    # the CAD View a statement routes by: HIGHLIGHT, REORDER and DROP
+    if isinstance(stmt, DropCadViewStatement):
+        return stmt.name
+    if isinstance(stmt, (HighlightSimilarStatement, ReorderRowsStatement)):
+        return stmt.view
+    return None

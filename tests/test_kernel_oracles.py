@@ -1,28 +1,36 @@
-"""Differential oracles for the vectorized CAD View build kernels.
+"""Differential oracles for the vectorized CAD View kernels.
 
 Each kernel is checked against the straightforward form it replaced,
 which lives only here: the k-means centroid update against
 ``np.add.at``, the categorical remap against ``sorted(set(...))``, the
-V-optimal micro-bucket counts against ``np.add.at``, and the
-similarity graph against the pairwise Algorithm 1 loop.
+V-optimal micro-bucket counts against ``np.add.at``, and the search
+kernels (Algorithms 1 and 2, and the build's similarity graph) against
+the scalar cosine that re-normalized both vectors on every call.
 """
 
 from __future__ import annotations
+
+import json
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import CADViewBuilder, CADViewConfig
 from repro.clustering import KMeans
 from repro.clustering import kmeans as kmeans_module
 from repro.clustering.kmeans import _cluster_sums
+from repro.core.serialize import to_dict
 from repro.dataset import AttrKind, Attribute, Schema, Table
 from repro.discretize import Discretizer
 from repro.discretize import histogram as histogram_module
 from repro.discretize.discretizer import _dense_codes
 from repro.errors import CADViewError
-from repro.iunits import IUnit, iunit_similarity, similarity_graph
+from repro.iunits import (
+    IUnit, iunit_similarity, ranked_list_distance, similarity_graph,
+)
+from repro.iunits import iunit as iunit_module
 from repro.iunits.similarity import similarity_matrix
 from repro.obs import work
 
@@ -45,14 +53,93 @@ def remap_reference(codes, ncategories):
     return remap[codes], occurring
 
 
+def cosine_reference(a, b):
+    """The scalar cosine: both vectors re-normalized on every call."""
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    if a.shape != b.shape:
+        raise CADViewError(
+            f"cosine: shape mismatch {a.shape} vs {b.shape}"
+        )
+    ma, mb = np.abs(a).max(initial=0.0), np.abs(b).max(initial=0.0)
+    if ma == 0 or mb == 0:
+        return 0.0
+    a = a / ma
+    b = b / mb
+    na, nb = np.linalg.norm(a), np.linalg.norm(b)
+    if na == 0 or nb == 0:
+        return 0.0
+    value = float(np.dot(a / na, b / nb))
+    return min(1.0, max(0.0, value))
+
+
+def similarity_reference(x, y):
+    """Algorithm 1 as the sum of scalar cosines."""
+    if x.compare_attributes != y.compare_attributes:
+        raise CADViewError(
+            "IUnits come from different Compare Attribute sets: "
+            f"{x.compare_attributes} vs {y.compare_attributes}"
+        )
+    work.add("work.diversify.similarity_pairs")
+    total = 0.0
+    for d in x.compare_attributes:
+        total += cosine_reference(x.distributions[d], y.distributions[d])
+    return total
+
+
+def ranked_list_reference(tx, ty, tau):
+    """Algorithm 2 scoring every pair once per direction."""
+    if not tx and not ty:
+        return 0.0
+
+    def one_direction(a, b):
+        d = 0.0
+        for i, unit in enumerate(a, start=1):
+            similar_ranks = [
+                j for j, other in enumerate(b, start=1)
+                if similarity_reference(unit, other) >= tau
+            ]
+            if similar_ranks:
+                index = min(similar_ranks, key=lambda j: abs(j - i))
+            else:
+                index = len(b) + 1
+            d += abs(i - index)
+        return d
+
+    return one_direction(tx, ty) + one_direction(ty, tx)
+
+
+def unit_rows_reference(m):
+    """Rows of ``m`` scaled to unit length, all rows in one pass."""
+    scale = np.abs(m).max(axis=1, initial=0.0)
+    nonzero = scale > 0
+    rows = m[nonzero] / scale[nonzero, None]
+    out = np.zeros_like(m)
+    out[nonzero] = rows / np.linalg.norm(rows, axis=1)[:, None]
+    return out
+
+
+def matrix_reference(units):
+    """The Gram form over rows normalized from the raw distributions."""
+    n = len(units)
+    total = np.zeros((n, n))
+    for d in (units[0].compare_attributes if units else ()):
+        rows = [np.asarray(u.distributions[d], dtype=float) for u in units]
+        unit = unit_rows_reference(np.stack(rows))
+        total += np.clip(unit @ unit.T, 0.0, 1.0)
+    return total
+
+
 def graph_reference(units, tau):
-    """Pairwise Algorithm 1: (adjacency, similarity totals)."""
+    """Pairwise scalar Algorithm 1: (adjacency, similarity totals)."""
     n = len(units)
     adj = np.zeros((n, n), dtype=bool)
     totals = np.zeros((n, n))
     for i in range(n):
         for j in range(i + 1, n):
-            totals[i, j] = totals[j, i] = iunit_similarity(units[i], units[j])
+            totals[i, j] = totals[j, i] = similarity_reference(
+                units[i], units[j]
+            )
             adj[i, j] = adj[j, i] = totals[i, j] >= tau
     return adj, totals
 
@@ -207,7 +294,7 @@ def test_voptimal_microbucket_counts_match_add_at(values, max_distinct):
     assert np.array_equal(seen[0], expected)
 
 
-# ------------------------------------------------ similarity graph
+# ------------------------------------------ search and graph kernels
 
 @st.composite
 def candidate_sets(draw):
@@ -233,6 +320,114 @@ def candidate_sets(draw):
                            {a: () for a in attrs}))
     tau = draw(st.floats(0.0, float(nattrs)))
     return units, tau
+
+
+@pytest.fixture(scope="module")
+def cad(cars):
+    return CADViewBuilder(
+        CADViewConfig(compare_limit=3, iunits_k=2, seed=7)
+    ).build(cars, pivot="BodyType")
+
+
+@pytest.fixture
+def normalizations(monkeypatch):
+    """The :func:`unit_vector` calls made while the test runs."""
+    calls = []
+    real = iunit_module.unit_vector
+    monkeypatch.setattr(
+        iunit_module, "unit_vector",
+        lambda counts: calls.append(1) or real(counts),
+    )
+    return calls
+
+
+class TestSearchKernels:
+    """Algorithms 1 and 2 from the vectors each IUnit normalized once."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(candidate_sets())
+    def test_algorithm1_equals_scalar_cosine_bit_for_bit(self, case):
+        units, _ = case
+        for x in units:
+            for y in units:
+                got = iunit_similarity(x, y)
+                assert got.hex() == similarity_reference(x, y).hex()
+                assert got.hex() == iunit_similarity(y, x).hex()
+
+    @settings(max_examples=200, deadline=None)
+    @given(candidate_sets(), st.data())
+    def test_algorithm2_equals_two_direction_form(self, case, data):
+        units, tau = case
+        cut = data.draw(st.integers(0, len(units)))
+        tx, ty = units[:cut], units[cut:]
+        got = ranked_list_distance(tx, ty, tau)
+        assert got == ranked_list_reference(tx, ty, tau)
+        assert type(got) is float
+
+    @settings(max_examples=50, deadline=None)
+    @given(candidate_sets(), st.data())
+    def test_algorithm2_scores_each_pair_once(self, case, data):
+        units, tau = case
+        cut = data.draw(st.integers(0, len(units)))
+        tx, ty = units[:cut], units[cut:]
+        with work.track() as new:
+            ranked_list_distance(tx, ty, tau)
+        with work.track() as old:
+            ranked_list_reference(tx, ty, tau)
+        pairs = len(tx) * len(ty)
+        assert new.counts.get("work.diversify.similarity_pairs", 0) == pairs
+        assert old.counts.get("work.diversify.similarity_pairs", 0) == (
+            2 * pairs
+        )
+
+    @settings(max_examples=100, deadline=None)
+    @given(candidate_sets())
+    def test_gram_form_matches_held_gram_form(self, case):
+        units, _ = case
+        n = len(units)
+        nattrs = len(units[0].compare_attributes) if units else 0
+        off = ~np.eye(n, dtype=bool)
+        diff = np.abs(similarity_matrix(units) - matrix_reference(units))
+        assert np.all(diff[off] <= 1e-12 * nattrs)
+
+    def test_highlight_prints_algorithm1_bits(self, cad):
+        for value in cad.pivot_values:
+            for anchor in cad.row(value):
+                hits = cad.similar_iunits(
+                    value, anchor.uid, threshold=0.0, include_self=True
+                )
+                assert len(hits) == len(cad.all_iunits())
+                for ref, sim in hits:
+                    other = cad.iunit(ref.pivot_value, ref.iunit_id)
+                    assert sim.hex() == similarity_reference(
+                        anchor, other
+                    ).hex()
+
+    def test_with_uid_copies_keep_the_vectors(self):
+        unit = IUnit("p", "a", 3, ("x", "y"),
+                     {"x": np.array([3.0, 1.0]), "y": np.array([0.0, 2.0])},
+                     {"x": (), "y": ()})
+        ranked = unit.with_uid(2).with_uid(1)
+        assert ranked.unit_vectors is unit.unit_vectors
+        assert ranked.uid == 1 and unit.uid is None
+
+    def test_with_uid_normalizes_nothing(self, normalizations):
+        unit = IUnit("p", "a", 3, ("x",), {"x": np.array([3.0, 1.0])},
+                     {"x": ()})
+        assert len(normalizations) == 1
+        unit.with_uid(2).with_uid(1)
+        assert len(normalizations) == 1
+
+    def test_reordered_views_keep_the_vectors(self, cad, normalizations):
+        reordered = cad.reorder_by_similarity(cad.pivot_values[-1])
+        reordered.similar_iunits(reordered.pivot_values[0], 1)
+        assert normalizations == []
+        for value in cad.pivot_values:
+            for old, new in zip(cad.row(value), reordered.row(value)):
+                assert new.unit_vectors is old.unit_vectors
+
+    def test_vectors_stay_off_the_payload(self, cad):
+        assert "unit_vectors" not in json.dumps(to_dict(cad))
 
 
 class TestSimilarityGraph:

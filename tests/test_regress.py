@@ -1,10 +1,17 @@
 """Unit tests for the benchmark regression gate (benchmarks/regress.py)."""
 
+import ast
 import importlib.util
 import json
+import os
+import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
+
+ROOT = Path(__file__).parent.parent
 
 
 def _load_regress():
@@ -240,3 +247,53 @@ class TestWorkGate:
         for path in sorted(baselines.glob("BENCH_*.json")):
             payload = json.loads(path.read_text())
             assert dict(regress.work_leaves(payload)), path.name
+
+
+class TestBenchCommand:
+    """The printed re-baseline command selects every emitting test."""
+
+    @staticmethod
+    def _emitters(path):
+        """``{bench name: test function}`` for each ``bench_emit`` call."""
+        out = {}
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, ast.FunctionDef):
+                continue
+            for call in ast.walk(node):
+                if (
+                    isinstance(call, ast.Call)
+                    and getattr(call.func, "id", None) == "bench_emit"
+                ):
+                    out[call.args[0].value] = node.name
+        return out
+
+    def test_docstring_prints_the_command(self, regress):
+        flat = " ".join(regress.__doc__.replace("\\\n", " ").split())
+        assert " ".join(regress.BENCH_COMMAND.split()) in flat
+
+    def test_command_selects_every_baseline_emitter(self, regress):
+        argv = shlex.split(regress.BENCH_COMMAND)
+        assert argv[:3] == ["python", "-m", "pytest"]
+        files = [a for a in argv if a.endswith(".py")]
+        emitters = {}
+        for name in files:
+            for bench, test in self._emitters(ROOT / name).items():
+                emitters[bench] = f"{name}::{test}"
+        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+        # -v offsets the config's addopts -q, so node ids are listed
+        proc = subprocess.run(
+            [sys.executable, *argv[1:], "--collect-only", "-v",
+             "-p", "no:cacheprovider"],
+            cwd=ROOT, env=env, capture_output=True, text=True,
+            timeout=300,
+        )
+        assert proc.returncode == 0, proc.stdout + proc.stderr
+        collected = {t for t in proc.stdout.split() if "::" in t}
+        baselines = sorted((ROOT / "benchmarks" / "baselines").glob(
+            "BENCH_*.json"
+        ))
+        assert baselines
+        for path in baselines:
+            bench = path.stem[len("BENCH_"):]
+            assert bench in emitters, f"no test in {files} emits {bench}"
+            assert emitters[bench] in collected, emitters[bench]

@@ -6,7 +6,6 @@ import pytest
 from repro.errors import CADViewError
 from repro.iunits import (
     IUnit,
-    cosine_similarity,
     default_tau,
     iunit_similarity,
     ranked_list_distance,
@@ -21,18 +20,24 @@ def unit(dists, value="v", uid=None):
 
 
 class TestCosine:
+    """The per-attribute cosine: Algorithm 1 over one Compare Attribute."""
+
+    @staticmethod
+    def cosine(a, b):
+        return iunit_similarity(unit({"x": a}), unit({"x": b}))
+
     def test_identical(self):
-        assert cosine_similarity(np.array([1.0, 2.0]), np.array([2.0, 4.0])) == pytest.approx(1.0)
+        assert self.cosine([1.0, 2.0], [2.0, 4.0]) == pytest.approx(1.0)
 
     def test_orthogonal(self):
-        assert cosine_similarity(np.array([1.0, 0.0]), np.array([0.0, 1.0])) == 0.0
+        assert self.cosine([1.0, 0.0], [0.0, 1.0]) == 0.0
 
     def test_zero_vector(self):
-        assert cosine_similarity(np.zeros(2), np.array([1.0, 1.0])) == 0.0
+        assert self.cosine(np.zeros(2), [1.0, 1.0]) == 0.0
 
     def test_shape_mismatch(self):
-        with pytest.raises(CADViewError):
-            cosine_similarity(np.zeros(2), np.zeros(3))
+        with pytest.raises(CADViewError, match="shape mismatch"):
+            self.cosine(np.zeros(2), np.zeros(3))
 
 
 class TestAlgorithm1:

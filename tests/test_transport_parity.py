@@ -38,11 +38,13 @@ CREATE = (
 
 
 @contextmanager
-def serving(transport, metrics, faults_spec=None, state_dir=None, **retry):
+def serving(transport, metrics, faults_spec=None, state_dir=None, shards=1,
+            **retry):
     """One transport over the same table, counting into ``metrics``.
 
     ``faults_spec`` is the transport's fault plan (forked per statement
-    in both); ``retry`` overrides the transient-retry policy.
+    in both); ``retry`` overrides the transient-retry policy; ``shards``
+    sets the proc transport's worker count.
     """
     if transport == "thread":
         dbx = DBExplorer(
@@ -63,7 +65,7 @@ def serving(transport, metrics, faults_spec=None, state_dir=None, **retry):
         **retry,
     )
     config = ProcServeConfig(
-        shards=1, breaker=None, state_dir=state_dir,
+        shards=shards, breaker=None, state_dir=state_dir,
         heartbeat_interval_s=0.05, heartbeat_timeout_s=0.5,
     )
     with ProcSupervisor(spec, config, metrics=metrics) as supervisor:
@@ -149,3 +151,38 @@ def test_never_executed_statement_carries_no_work(transport, tmp_path):
     assert ticket.outcome == "failed"
     assert ticket.attempts == 1
     assert ticket.work is None
+
+
+FAILING_CREATE = (
+    "CREATE CADVIEW bad AS SET pivot = Make SELECT Price FROM data "
+    "WHERE Price < 0 LIMIT COLUMNS 3 IUNITS 2"
+)
+
+
+@pytest.mark.parametrize("sql", [
+    "HIGHLIGHT SIMILAR IUNITS IN bad WHERE SIMILARITY(Ford, 1) > 0.5",
+    "HIGHLIGHT SIMILAR IUNITS IN w0 WHERE SIMILARITY(Ford, 1) > 0.5",
+    "REORDER ROWS IN w0 ORDER BY SIMILARITY(Ford) DESC",
+    "DROP CADVIEW w0",
+])
+def test_unknown_view_error_lists_every_view(sql):
+    """A statement naming an unknown view fails with the in-process
+    QA501 text under two shards too.  ``v`` lives on the shard its
+    table hashes to and ``w0`` hashes to the other one, whose own
+    catalog is empty: the error must still list ``v``, and not ``bad``,
+    whose CREATE failed."""
+    errors = {}
+    for transport in TRANSPORTS:
+        with serving(transport, MetricsRegistry(), shards=2) as server:
+            created = server.submit(CREATE, session="s")
+            assert created.wait(60) and created.outcome == "ok"
+            failed = server.submit(FAILING_CREATE, session="s")
+            assert failed.wait(60) and failed.status == "build_failed"
+            ticket = server.submit(sql, session="s")
+            assert ticket.wait(60)
+        assert ticket.status == "analysis_error"
+        assert ticket.work is None
+        errors[transport] = str(ticket.error)
+    assert "QA501" in errors["thread"]
+    assert "; have ['v']" in errors["thread"]
+    assert errors["proc"] == errors["thread"]
