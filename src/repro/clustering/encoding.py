@@ -40,25 +40,20 @@ class Encoding:
         is the column of a specific attribute value.
     widths:
         Number of columns per attribute (its code-domain size).
+    codes:
+        Each attribute's code column (``-1`` = missing), in block order:
+        the matrix row ``i`` holds ``value`` at ``offsets[name] +
+        codes[b][i]`` and zero elsewhere in block ``b``.
+    value:
+        The entry a present code sets: ``1 / sqrt(2)`` scaled, else 1.
     """
 
     matrix: np.ndarray
     names: Tuple[str, ...]
     offsets: Dict[str, int]
     widths: Dict[str, int]
-
-    def column_of(self, name: str, code: int) -> int:
-        """Design-matrix column of (attribute, code)."""
-        if name not in self.offsets:
-            raise QueryError(f"{name!r} not encoded")
-        if not 0 <= code < self.widths[name]:
-            raise QueryError(f"code {code} out of range for {name!r}")
-        return self.offsets[name] + code
-
-    def block(self, centers: np.ndarray, name: str) -> np.ndarray:
-        """The slice of ``centers`` columns belonging to ``name``."""
-        start = self.offsets[name]
-        return centers[:, start:start + self.widths[name]]
+    codes: Tuple[np.ndarray, ...]
+    value: float
 
 
 def one_hot_encode(
@@ -85,8 +80,8 @@ def one_hot_encode(
     X = np.zeros((n, total), dtype=np.float64)
     value = 1.0 / np.sqrt(2.0) if scale else 1.0
     rows = np.arange(n)
-    for name in names:
-        codes = view.codes(name)
-        valid = codes >= 0
-        X[rows[valid], offsets[name] + codes[valid]] = value
-    return Encoding(X, names, offsets, widths)
+    codes = tuple(view.codes(name) for name in names)
+    for name, column in zip(names, codes):
+        valid = column >= 0
+        X[rows[valid], offsets[name] + column[valid]] = value
+    return Encoding(X, names, offsets, widths, codes, float(value))

@@ -4,17 +4,21 @@ The paper uses Weka's SimpleKMeans "since both efficiency and quality
 are major concerns" (Sec. 3.1.2).  This is the numpy equivalent:
 k-means++ initialization, vectorized assignment via the expanded
 squared-distance identity, empty-cluster reseeding to the farthest
-points, and a relative-improvement stopping rule.
+points, and a relative-improvement stopping rule.  Given a one-hot
+:class:`~repro.clustering.encoding.Encoding`, the centroid sums are
+read off per-attribute count tables of its codes (DESIGN §15).
 """
 
 from __future__ import annotations
 
+import functools
 import warnings
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, Optional, Union
 
 import numpy as np
 
+from repro.clustering.encoding import Encoding
 from repro.errors import QueryError
 from repro.obs import work
 from repro.obs.tracer import NULL_TRACER, Tracer
@@ -49,10 +53,19 @@ def _sq_norms(X: np.ndarray) -> np.ndarray:
 def _pairwise_sq_dists(
     X: np.ndarray, C: np.ndarray, x2: np.ndarray
 ) -> np.ndarray:
-    """(n, k) squared Euclidean distances via |x|^2 - 2xC' + |c|^2."""
+    """(n, k) squared Euclidean distances via |x|^2 - 2xC' + |c|^2.
+
+    Computed in place in the product's buffer: ``(-2 xC') + |x|^2`` is
+    ``|x|^2 - 2 xC'`` bit for bit (a subtraction is the addition of the
+    negation, and addition commutes), so the distances equal the
+    expression written out, without its two extra n x k temporaries.
+    """
     work.add("work.cluster.distance_evals", X.shape[0] * C.shape[0])
     c2 = _sq_norms(C).T
-    d = x2 - 2.0 * (X @ C.T) + c2
+    d = X @ C.T
+    d *= -2.0
+    d += x2
+    d += c2
     np.maximum(d, 0.0, out=d)
     return d
 
@@ -71,6 +84,42 @@ def _cluster_sums(X: np.ndarray, labels: np.ndarray, k: int) -> np.ndarray:
     for c in range(X.shape[1]):
         sums[:, c] = np.bincount(labels, weights=X[:, c], minlength=k)
     return sums
+
+
+class _CountSums:
+    """:func:`_cluster_sums` of a one-hot encoding, from its codes.
+
+    A one-hot column holds only 0 and ``s``, and ``bincount`` adds it
+    in row order, so a cluster's sum over ``m`` rows holding the value
+    is ``s`` added ``m`` times in sequence, and adding a 0 changes
+    nothing.  That is ``T[m]`` of the prefix table ``T = cumsum([0, s,
+    s, ...])``, which numpy also accumulates in order.  Per attribute
+    of block width ``w`` the sums are therefore ``T[bincount(label *
+    (w + 1) + code)]``, bit-identical to the per-column form, from one
+    n-long index per attribute and never an n x d one.  A missing code
+    counts into the spare column ``w``, which is dropped.
+    """
+
+    def __init__(self, encoding: Encoding):
+        n = encoding.matrix.shape[0]
+        steps = np.full(n + 1, encoding.value)
+        steps[0] = 0.0
+        self.width = encoding.matrix.shape[1]
+        self.table = np.cumsum(steps)
+        self.blocks = []
+        for name, codes in zip(encoding.names, encoding.codes):
+            w = max(1, encoding.widths[name])
+            cells = np.where(codes >= 0, codes, w).astype(np.intp)
+            self.blocks.append((encoding.offsets[name], w, cells))
+
+    def __call__(self, labels: np.ndarray, k: int) -> np.ndarray:
+        sums = np.empty((k, self.width))
+        for start, w, cells in self.blocks:
+            counts = np.bincount(
+                labels * (w + 1) + cells, minlength=k * (w + 1)
+            ).reshape(k, w + 1)
+            sums[:, start:start + w] = self.table[counts[:, :w]]
+        return sums
 
 
 class KMeans:
@@ -132,22 +181,30 @@ class KMeans:
 
     def fit(
         self,
-        X: np.ndarray,
+        X: Union[np.ndarray, Encoding],
         rng: Optional[np.random.Generator] = None,
         checkpoint: Optional[Callable[[], None]] = None,
         tracer: Optional[Tracer] = None,
     ) -> KMeansResult:
-        """Cluster the rows of ``X``.
+        """Cluster the rows of ``X``, a matrix or a one-hot encoding.
 
-        If there are fewer rows than clusters, every row becomes its own
-        cluster (k is clamped, with a warning — tiny pivot partitions
-        are routine, not an error).  ``checkpoint`` is called once per
+        An :class:`Encoding` clusters its matrix, with the centroid sums
+        taken from its codes (:class:`_CountSums`); the result is
+        bit-identical to fitting ``X.matrix``.  If there are fewer rows
+        than clusters, every row becomes its own cluster (k is clamped,
+        with a warning — tiny pivot partitions are routine, not an
+        error).  ``checkpoint`` is called once per
         Lloyd iteration; a budgeted caller passes a deadline check that
         raises :class:`~repro.errors.BudgetExceededError`.  A ``tracer``
         gains a ``kmeans`` span recording iterations, empty-cluster
         reseeds and convergence.
         """
-        X = np.asarray(X, dtype=np.float64)
+        if isinstance(X, Encoding):
+            cluster_sums = _CountSums(X)
+            X = X.matrix
+        else:
+            X = np.asarray(X, dtype=np.float64)
+            cluster_sums = functools.partial(_cluster_sums, X)
         if X.ndim != 2:
             raise QueryError(f"X must be 2-D, got shape {X.shape}")
         n = X.shape[0]
@@ -182,7 +239,7 @@ class KMeans:
 
                 # recompute centroids; reseed empties to farthest points
                 counts = np.bincount(labels, minlength=k).astype(np.float64)
-                sums = _cluster_sums(X, labels, k)
+                sums = cluster_sums(labels, k)
                 empty = counts == 0
                 if empty.any():
                     span.inc("reseeds", int(empty.sum()))

@@ -608,26 +608,26 @@ class CADViewBuilder:
         deadline degrade to a single whole-partition IUnit.
         """
         code = view.code_of(pivot, value)
-        partition = view.restrict(view.codes(pivot) == code)
+        rows = np.flatnonzero(view.codes(pivot) == code)
         config = self.config
         span = tracer.current
-        span.set_attr("rows", len(partition))
+        span.set_attr("rows", len(rows))
         cap = config.cluster_sample
         if clock.under_pressure() and (
             cap is None or cap > _PRESSURE_CLUSTER_SAMPLE
         ):
             cap = _PRESSURE_CLUSTER_SAMPLE
-            if len(partition) > cap:
+            if len(rows) > cap:
                 report.record_degradation(
                     "cluster", "full-partition", f"sample:{cap}",
                     "budget pressure",
                 )
-        if cap is not None and len(partition) > cap:
-            keep = rng.choice(len(partition), size=cap, replace=False)
-            mask = np.zeros(len(partition), dtype=bool)
-            mask[keep] = True
-            partition = partition.restrict(mask)
-            span.set_attr("sampled_rows", len(partition))
+        if cap is not None and len(rows) > cap:
+            keep = rng.choice(len(rows), size=cap, replace=False)
+            rows = rows[np.sort(keep)]
+            span.set_attr("sampled_rows", len(rows))
+        # the partition is read only through its Compare Attribute codes
+        partition = view.partition(rows, compare)
         with tracer.span("encode", rows=len(partition)):
             encoding = one_hot_encode(partition, compare)
         k = min(l, len(partition))  # tiny partitions: one tuple per cluster
@@ -639,8 +639,7 @@ class CADViewBuilder:
                 faults.fire("cluster", value)
                 km = KMeans(n_clusters=k, seed=int(rng.integers(2**31)))
                 fit = km.fit(
-                    encoding.matrix, rng, checkpoint=checkpoint,
-                    tracer=tracer,
+                    encoding, rng, checkpoint=checkpoint, tracer=tracer,
                 )
                 break
             except ConvergenceError as exc:

@@ -40,16 +40,20 @@ class DiscretizedView:
     For every attribute ``a`` the view provides an ``int32`` code array
     aligned with the source rows (``-1`` = missing), a label per code,
     and a way back from a code to a selectable :class:`Predicate`.
+    A view made by :meth:`partition` has no source ``table`` (it is
+    ``None``) and states its row count, ``nrows``, instead.
     """
 
     def __init__(
         self,
-        table: Table,
+        table: Optional[Table],
         codes: Mapping[str, np.ndarray],
         labels: Mapping[str, Tuple[str, ...]],
         bins: Mapping[str, Tuple[Bin, ...]],
+        nrows: Optional[int] = None,
     ):
         self.table = table
+        self._nrows = len(table) if table is not None else nrows
         self._codes = dict(codes)
         self._labels = dict(labels)
         self._bins = dict(bins)
@@ -65,7 +69,7 @@ class DiscretizedView:
         return name in self._codes
 
     def __len__(self) -> int:
-        return len(self.table)
+        return self._nrows
 
     def codes(self, name: str) -> np.ndarray:
         """Aligned int32 code array for ``name``."""
@@ -124,9 +128,8 @@ class DiscretizedView:
     def restrict(self, mask: np.ndarray) -> "DiscretizedView":
         """The view restricted to rows where ``mask`` is True.
 
-        Labels/bins are shared; code arrays are gathered at the kept
-        rows.  Used to carve out the per-pivot-value partitions that
-        get clustered.
+        Labels/bins are shared; the table and every code array are
+        gathered at the kept rows.
         """
         rows = self.table.row_ids(mask)
         return DiscretizedView(
@@ -134,6 +137,25 @@ class DiscretizedView:
             {n: c[rows] for n, c in self._codes.items()},
             self._labels,
             self._bins,
+        )
+
+    def partition(
+        self, rows: np.ndarray, names: Sequence[str]
+    ) -> "DiscretizedView":
+        """The codes of ``names`` at ``rows``, and nothing else.
+
+        Labels/bins are shared; no table column and no other
+        attribute's codes are gathered, so the view has no ``table``.
+        A pivot value's partition is clustered and labeled from its
+        Compare Attribute codes alone (Sec. 3.1.2), which is all this
+        carries.
+        """
+        return DiscretizedView(
+            None,
+            {n: self.codes(n)[rows] for n in names},
+            self._labels,
+            self._bins,
+            nrows=len(rows),
         )
 
     def value_counts(self, name: str) -> Dict[str, int]:

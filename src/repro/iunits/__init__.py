@@ -14,7 +14,6 @@ from repro.iunits.iunit import IUnit
 from repro.iunits.labeling import (
     LabelingConfig,
     build_iunits,
-    label_cluster,
     representative_values,
 )
 from repro.iunits.ranking import (
@@ -31,7 +30,7 @@ from repro.iunits.similarity import (
 
 __all__ = [
     "IUnit",
-    "LabelingConfig", "label_cluster", "build_iunits",
+    "LabelingConfig", "build_iunits",
     "representative_values",
     "PreferenceFunction", "SizePreference", "AttributePreference",
     "CompositePreference",

@@ -26,13 +26,11 @@ import numpy as np
 from scipy.special import ndtr
 
 from repro.discretize.discretizer import DiscretizedView
-from repro.errors import CADViewError
 from repro.iunits.iunit import IUnit
 
 __all__ = [
     "LabelingConfig",
     "representative_values",
-    "label_cluster",
     "build_iunits",
 ]
 
@@ -112,43 +110,6 @@ def representative_values(
     return tuple(chosen)
 
 
-def label_cluster(
-    view: DiscretizedView,
-    member_mask: np.ndarray,
-    pivot_attribute: str,
-    pivot_value: str,
-    compare_attributes: Sequence[str],
-    config: LabelingConfig = LabelingConfig(),
-) -> IUnit:
-    """Label one cluster of ``view`` rows as an :class:`IUnit`.
-
-    ``member_mask`` selects the cluster's rows within ``view`` (which is
-    already restricted to the pivot value's partition).
-    """
-    member_mask = np.asarray(member_mask, dtype=bool)
-    size = int(member_mask.sum())
-    if size == 0:
-        raise CADViewError("cannot label an empty cluster")
-    distributions: Dict[str, np.ndarray] = {}
-    display: Dict[str, Tuple[str, ...]] = {}
-    for name in compare_attributes:
-        codes = view.codes(name)[member_mask]
-        valid = codes[codes >= 0]
-        counts = np.bincount(valid, minlength=view.ncodes(name)).astype(float)
-        distributions[name] = counts
-        display[name] = representative_values(
-            counts, view.labels(name), config
-        )
-    return IUnit(
-        pivot_attribute,
-        pivot_value,
-        size,
-        tuple(compare_attributes),
-        distributions,
-        display,
-    )
-
-
 def build_iunits(
     view: DiscretizedView,
     cluster_labels: np.ndarray,
@@ -161,20 +122,44 @@ def build_iunits(
 
     ``cluster_labels`` assigns each row of ``view`` to a cluster id;
     negative ids are ignored (outliers).  Returns one IUnit per
-    non-empty cluster, unordered (ranking is Problem 2's job).
+    non-empty cluster in ascending id order, unranked (ranking is
+    Problem 2's job).
+
+    Every cluster's distributions over an attribute come from one
+    count table, ``bincount(id * (w + 1) + code)``: a row per cluster
+    id, a column per code, with missing codes and outlier rows counted
+    into a spare column and row that are dropped.  The ids index the
+    table, so they are expected to be small, as k-means labels (below
+    k) are.  The counts are integers, exact in any order of addition,
+    so each distribution equals the ``bincount`` of the cluster's own
+    codes.
     """
-    cluster_labels = np.asarray(cluster_labels)
+    ids = np.asarray(cluster_labels)
+    spare = int(ids.max(initial=-1)) + 1
+    ids = np.where(ids >= 0, ids, spare)
+    sizes = np.bincount(ids, minlength=spare + 1)[:spare]
+    tables = {}
+    for name in compare_attributes:
+        w = view.ncodes(name)
+        codes = view.codes(name)
+        cells = ids * (w + 1) + np.where(codes >= 0, codes, w)
+        counts = np.bincount(cells, minlength=(spare + 1) * (w + 1))
+        tables[name] = counts.reshape(spare + 1, w + 1)[:, :w].astype(float)
     iunits: List[IUnit] = []
-    for cid in np.unique(cluster_labels):
-        if cid < 0:
-            continue
-        mask = cluster_labels == cid
-        if not mask.any():
-            continue
-        iunits.append(
-            label_cluster(
-                view, mask, pivot_attribute, pivot_value,
-                compare_attributes, config,
+    for cid in np.flatnonzero(sizes):
+        distributions: Dict[str, np.ndarray] = {}
+        display: Dict[str, Tuple[str, ...]] = {}
+        for name in compare_attributes:
+            distributions[name] = tables[name][cid]
+            display[name] = representative_values(
+                distributions[name], view.labels(name), config
             )
-        )
+        iunits.append(IUnit(
+            pivot_attribute,
+            pivot_value,
+            int(sizes[cid]),
+            tuple(compare_attributes),
+            distributions,
+            display,
+        ))
     return iunits

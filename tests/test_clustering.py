@@ -36,21 +36,6 @@ class TestOneHotEncode:
         x, y = enc.matrix[0], enc.matrix[3]  # Paris vs Lyon
         assert float(((x - y) ** 2).sum()) == pytest.approx(1.0)
 
-    def test_column_of(self, toy_view):
-        enc = one_hot_encode(toy_view, ["city", "price"])
-        col = enc.column_of("price", 1)
-        assert col == enc.offsets["price"] + 1
-        with pytest.raises(QueryError):
-            enc.column_of("city", 99)
-        with pytest.raises(QueryError):
-            enc.column_of("bogus", 0)
-
-    def test_block_slicing(self, toy_view):
-        enc = one_hot_encode(toy_view, ["city", "price"])
-        centers = np.ones((2, enc.matrix.shape[1]))
-        block = enc.block(centers, "city")
-        assert block.shape == (2, toy_view.ncodes("city"))
-
     def test_empty_names_raises(self, toy_view):
         with pytest.raises(QueryError):
             one_hot_encode(toy_view, [])

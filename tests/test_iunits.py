@@ -12,9 +12,16 @@ from repro.iunits import (
     LabelingConfig,
     SizePreference,
     build_iunits,
-    label_cluster,
     representative_values,
 )
+
+
+def one_cluster(view, mask, pivot_value, compare):
+    """The IUnit of the rows ``mask`` selects (the rest are outliers)."""
+    (unit,) = build_iunits(
+        view, np.where(mask, 0, -1), "city", pivot_value, compare
+    )
+    return unit
 
 
 def make_iunit(size=10, dists=None, display=None):
@@ -91,17 +98,15 @@ class TestLabelCluster:
     def test_basic(self, toy_table):
         view = Discretizer(nbins=3).fit(toy_table)
         mask = view.codes("city") == view.code_of("city", "Paris")
-        unit = label_cluster(view, mask, "city", "Paris", ["stars", "price"])
+        unit = one_cluster(view, mask, "Paris", ["stars", "price"])
         assert unit.size == 3
         assert set(unit.compare_attributes) == {"stars", "price"}
         assert unit.distributions["stars"].sum() == 3
 
-    def test_empty_cluster_raises(self, toy_table):
+    def test_all_outliers_give_no_iunits(self, toy_table):
         view = Discretizer().fit(toy_table)
-        with pytest.raises(CADViewError):
-            label_cluster(
-                view, np.zeros(len(toy_table), bool), "city", "x", ["stars"]
-            )
+        labels = np.full(len(toy_table), -1)
+        assert build_iunits(view, labels, "city", "x", ["stars"]) == []
 
     def test_build_iunits_skips_negative_labels(self, toy_table):
         view = Discretizer().fit(toy_table)
@@ -129,8 +134,8 @@ class TestPreferences:
         view = Discretizer(nbins=3).fit(toy_table)
         mask_cheap = view.codes("price") == 0
         mask_rich = view.codes("price") == view.ncodes("price") - 1
-        cheap = label_cluster(view, mask_cheap, "city", "x", ["price"])
-        rich = label_cluster(view, mask_rich, "city", "x", ["price"])
+        cheap = one_cluster(view, mask_cheap, "x", ["price"])
+        rich = one_cluster(view, mask_rich, "x", ["price"])
         asc = AttributePreference(view, "price", ascending=True)
         assert asc(cheap) > asc(rich)
         desc = AttributePreference(view, "price", ascending=False)

@@ -1,11 +1,15 @@
 """Differential oracles for the vectorized CAD View kernels.
 
 Each kernel is checked against the straightforward form it replaced,
-which lives only here: the k-means centroid update against
-``np.add.at``, the categorical remap against ``sorted(set(...))``, the
-V-optimal micro-bucket counts against ``np.add.at``, and the search
-kernels (Algorithms 1 and 2, and the build's similarity graph) against
-the scalar cosine that re-normalized both vectors on every call.
+which lives only here: the k-means centroid update (per column, and
+from an encoding's count tables) against ``np.add.at``, the in-place
+k-means distances against the expression written out, cluster labeling
+against one mask per cluster, the categorical remap against
+``sorted(set(...))``, the V-optimal micro-bucket counts against
+``np.add.at``, and the search kernels (Algorithms 1 and 2, and the
+build's similarity graph) against the scalar cosine that re-normalized
+both vectors on every call.  A build-level case runs whole CAD View
+builds on the held forms and on the shipped ones.
 """
 
 from __future__ import annotations
@@ -17,18 +21,23 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import CADViewBuilder, CADViewConfig
-from repro.clustering import KMeans
+from repro import CADViewBuilder, CADViewConfig, DBExplorer
+from repro.clustering import KMeans, one_hot_encode
 from repro.clustering import kmeans as kmeans_module
-from repro.clustering.kmeans import _cluster_sums
+from repro.clustering.kmeans import (
+    _CountSums, _cluster_sums, _pairwise_sq_dists, _sq_norms,
+)
+from repro.core import builder as builder_module
 from repro.core.serialize import to_dict
 from repro.dataset import AttrKind, Attribute, Schema, Table
+from repro.dataset.generators import generate_usedcars
 from repro.discretize import Discretizer
 from repro.discretize import histogram as histogram_module
-from repro.discretize.discretizer import _dense_codes
+from repro.discretize.discretizer import DiscretizedView, _dense_codes
 from repro.errors import CADViewError
 from repro.iunits import (
-    IUnit, iunit_similarity, ranked_list_distance, similarity_graph,
+    IUnit, LabelingConfig, build_iunits, iunit_similarity,
+    ranked_list_distance, representative_values, similarity_graph,
 )
 from repro.iunits import iunit as iunit_module
 from repro.iunits.similarity import similarity_matrix
@@ -42,6 +51,68 @@ def sums_reference(X, labels, k):
     sums = np.zeros((k, X.shape[1]))
     np.add.at(sums, labels, X)
     return sums
+
+
+def count_sums_reference(encoding):
+    """Centroid sums of an encoding, added column by column."""
+    return lambda labels, k: sums_reference(encoding.matrix, labels, k)
+
+
+def distances_reference(X, C, x2):
+    """The k-means distances as the expression written out."""
+    work.add("work.cluster.distance_evals", X.shape[0] * C.shape[0])
+    c2 = _sq_norms(C).T
+    d = x2 - 2.0 * (X @ C.T) + c2
+    np.maximum(d, 0.0, out=d)
+    return d
+
+
+def label_cluster_reference(view, member_mask, pivot_attribute,
+                            pivot_value, compare_attributes,
+                            config=LabelingConfig()):
+    """One cluster's IUnit, its codes gathered through its mask."""
+    member_mask = np.asarray(member_mask, dtype=bool)
+    size = int(member_mask.sum())
+    if size == 0:
+        raise CADViewError("cannot label an empty cluster")
+    distributions = {}
+    display = {}
+    for name in compare_attributes:
+        codes = view.codes(name)[member_mask]
+        valid = codes[codes >= 0]
+        counts = np.bincount(valid, minlength=view.ncodes(name)).astype(float)
+        distributions[name] = counts
+        display[name] = representative_values(
+            counts, view.labels(name), config
+        )
+    return IUnit(pivot_attribute, pivot_value, size,
+                 tuple(compare_attributes), distributions, display)
+
+
+def build_iunits_reference(view, cluster_labels, pivot_attribute,
+                           pivot_value, compare_attributes,
+                           config=LabelingConfig()):
+    """Every cluster labeled through a mask of its own."""
+    cluster_labels = np.asarray(cluster_labels)
+    iunits = []
+    for cid in np.unique(cluster_labels):
+        if cid < 0:
+            continue
+        mask = cluster_labels == cid
+        if not mask.any():
+            continue
+        iunits.append(label_cluster_reference(
+            view, mask, pivot_attribute, pivot_value,
+            compare_attributes, config,
+        ))
+    return iunits
+
+
+def partition_reference(view, rows, names):
+    """A pivot partition as the whole view restricted to ``rows``."""
+    mask = np.zeros(len(view), dtype=bool)
+    mask[rows] = True
+    return view.restrict(mask)
 
 
 def remap_reference(codes, ncategories):
@@ -151,33 +222,63 @@ floats = st.floats(
 )
 
 
+def code_view(codes, nrows):
+    """A table-less view over ``codes`` ({name: (codes, width)})."""
+    return DiscretizedView(
+        None,
+        {name: c for name, (c, _) in codes.items()},
+        {name: tuple(f"v{i}" for i in range(w))
+         for name, (_, w) in codes.items()},
+        {},
+        nrows=nrows,
+    )
+
+
 @st.composite
-def design(draw):
-    """(X, labels, k): one-hot blocks or random floats, k >= used labels."""
+def code_columns(draw, n, max_attrs=4, max_width=5):
+    """1-4 code columns of ``n`` rows, with missing (-1) codes and
+    attributes whose domain is empty (every code missing)."""
+    widths = draw(st.lists(
+        st.integers(0, max_width), min_size=1, max_size=max_attrs,
+    ))
+    return {
+        f"a{i}": (np.array(draw(st.lists(
+            st.integers(-1, w - 1), min_size=n, max_size=n,
+        )), dtype=np.int32), w)
+        for i, w in enumerate(widths)
+    }
+
+
+@st.composite
+def coded_design(draw):
+    """(encoding, labels, k): a one-hot encoding, k >= used labels."""
     n = draw(st.integers(1, 60))
     k = draw(st.integers(1, 8))
     labels = np.array(
         draw(st.lists(st.integers(0, k - 1), min_size=n, max_size=n)),
         dtype=np.int32,
     )
+    columns = draw(code_columns(n))
+    encoding = one_hot_encode(code_view(columns, n), list(columns))
+    return encoding, labels, k
+
+
+@st.composite
+def design(draw):
+    """(X, labels, k): one-hot blocks or random floats, k >= used labels."""
     if draw(st.booleans()):
-        widths = draw(st.lists(st.integers(1, 5), min_size=1, max_size=4))
-        blocks = []
-        for w in widths:
-            codes = draw(st.lists(
-                st.integers(-1, w - 1), min_size=n, max_size=n,
-            ))
-            block = np.zeros((n, w))
-            for row, code in enumerate(codes):
-                if code >= 0:
-                    block[row, code] = 1.0 / np.sqrt(2.0)
-            blocks.append(block)
-        X = np.hstack(blocks)
-    else:
-        d = draw(st.integers(1, 6))
-        X = np.array(
-            draw(st.lists(floats, min_size=n * d, max_size=n * d)),
-        ).reshape(n, d)
+        encoding, labels, k = draw(coded_design())
+        return encoding.matrix, labels, k
+    n = draw(st.integers(1, 60))
+    k = draw(st.integers(1, 8))
+    labels = np.array(
+        draw(st.lists(st.integers(0, k - 1), min_size=n, max_size=n)),
+        dtype=np.int32,
+    )
+    d = draw(st.integers(1, 6))
+    X = np.array(
+        draw(st.lists(floats, min_size=n * d, max_size=n * d)),
+    ).reshape(n, d)
     return X, labels, k
 
 
@@ -218,6 +319,192 @@ class TestCentroidUpdate:
         assert np.array_equal(new.centers, old.centers)
         assert new.inertia == old.inertia
         assert new.n_iter == old.n_iter
+
+
+def assert_same_fit(new, old):
+    assert np.array_equal(new.labels, old.labels)
+    assert np.array_equal(new.centers, old.centers)
+    assert new.inertia == old.inertia
+    assert new.n_iter == old.n_iter
+
+
+class TestCountTableSums:
+    """Centroid sums of an encoding, read off its codes' count tables."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(coded_design())
+    def test_matches_add_at(self, case):
+        encoding, labels, k = case
+        sums = _CountSums(encoding)(labels, k)
+        assert np.array_equal(sums, sums_reference(encoding.matrix, labels, k))
+
+    def test_missing_codes_and_empty_clusters(self):
+        codes = {"a": (np.array([2, -1, 0, 2, -1], dtype=np.int32), 3),
+                 "b": (np.full(5, -1, dtype=np.int32), 0)}
+        encoding = one_hot_encode(code_view(codes, 5), ["a", "b"])
+        labels = np.array([3, 3, 0, 3, 1], dtype=np.int32)
+        sums = _CountSums(encoding)(labels, 6)
+        assert np.array_equal(sums, sums_reference(encoding.matrix, labels, 6))
+        assert not sums[[2, 4, 5]].any()
+        assert not sums[:, 3].any()   # the empty domain's one zero column
+
+    def test_single_cluster_reaches_the_prefix_table_tail(self):
+        # 5,000 additions of s: the table's last entry, compared with
+        # the sequential sum that np.add.at makes
+        n = 5000
+        codes = {"a": (np.zeros(n, dtype=np.int32), 1),
+                 "b": ((np.arange(n) % 2).astype(np.int32), 2)}
+        encoding = one_hot_encode(code_view(codes, n), ["a", "b"])
+        labels = np.zeros(n, dtype=np.int32)
+        sums = _CountSums(encoding)(labels, 1)
+        assert np.array_equal(sums, sums_reference(encoding.matrix, labels, 1))
+        assert np.array_equal(sums, _cluster_sums(encoding.matrix, labels, 1))
+
+    @settings(max_examples=100, deadline=None)
+    @given(coded_design(), st.integers(0, 2**16))
+    def test_fit_on_encoding_matches_fit_on_matrix(self, case, seed):
+        encoding, _, k = case
+        k = min(k, len(encoding.matrix))
+        assert_same_fit(
+            KMeans(k, seed=seed).fit(encoding),
+            KMeans(k, seed=seed).fit(encoding.matrix),
+        )
+
+    def test_fit_on_encoding_skips_the_column_loop(self, monkeypatch):
+        codes = {"a": (np.array([0, 1, 2, 0, 1, 2, 0], dtype=np.int32), 3)}
+        encoding = one_hot_encode(code_view(codes, 7), ["a"])
+
+        def refuse(*args):
+            raise AssertionError("per-column sums ran for an encoding")
+
+        monkeypatch.setattr(kmeans_module, "_cluster_sums", refuse)
+        assert KMeans(3, seed=0).fit(encoding).k == 3
+
+
+class TestDistances:
+    @settings(max_examples=200, deadline=None)
+    @given(design(), st.integers(1, 5), st.integers(0, 2**16))
+    def test_in_place_matches_expression(self, case, k, seed):
+        X, _, _ = case
+        rng = np.random.default_rng(seed)
+        C = X[rng.integers(len(X), size=k)] + rng.normal(size=(k, X.shape[1]))
+        x2 = _sq_norms(X)
+        got = _pairwise_sq_dists(X, C, x2)
+        assert got.tobytes() == distances_reference(X, C, x2).tobytes()
+
+
+# -------------------------------------------------- cluster labeling
+
+@st.composite
+def labeled_partition(draw):
+    """(view, cluster ids, config): negative and gapped cluster ids."""
+    n = draw(st.integers(1, 60))
+    columns = draw(code_columns(n, max_width=6))
+    ids = np.array(draw(st.lists(
+        st.sampled_from((-3, -1, 0, 1, 2, 5, 9)), min_size=n, max_size=n,
+    )))
+    config = LabelingConfig(
+        max_display=draw(st.integers(1, 3)),
+        alpha=draw(st.sampled_from((0.05, 0.5, 1.0))),
+        min_share=draw(st.sampled_from((0.0, 0.15, 0.4))),
+    )
+    return code_view(columns, n), ids, config
+
+
+def assert_same_iunits(new, old):
+    assert len(new) == len(old)
+    for a, b in zip(new, old):
+        assert (a.pivot_attribute, a.pivot_value, a.size) == (
+            b.pivot_attribute, b.pivot_value, b.size
+        )
+        assert a.compare_attributes == b.compare_attributes
+        assert dict(a.display) == dict(b.display)
+        assert list(a.distributions) == list(b.distributions)
+        for name in a.compare_attributes:
+            x, y = a.distributions[name], b.distributions[name]
+            assert x.dtype == y.dtype == np.float64
+            assert x.tobytes() == y.tobytes()
+
+
+class TestLabeling:
+    """Every cluster's distributions from one joint count per attribute."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(labeled_partition())
+    def test_matches_mask_per_cluster(self, case):
+        view, ids, config = case
+        names = list(view.attribute_names)
+        assert_same_iunits(
+            build_iunits(view, ids, "p", "v", names, config),
+            build_iunits_reference(view, ids, "p", "v", names, config),
+        )
+
+    def test_int32_labels_and_unlabeled_rows(self):
+        codes = {"a": (np.array([1, 0, -1, 1, 1, 0], dtype=np.int32), 2)}
+        view = code_view(codes, 6)
+        ids = np.array([4, 4, 4, -1, 0, 0], dtype=np.int32)
+        new = build_iunits(view, ids, "p", "v", ["a"])
+        assert_same_iunits(
+            new, build_iunits_reference(view, ids, "p", "v", ["a"])
+        )
+        assert [u.size for u in new] == [2, 3]
+        assert new[1].distributions["a"].tolist() == [1.0, 1.0]
+
+
+# --------------------------------------------- whole builds, held forms
+
+# explore-workload CREATEs on the 40K table.  On the first three, a
+# per-attribute gather of the k-means distances (not BLAS's order of
+# addition) ends some fits differently and changes the view.
+EXPLORE_BUILDS = (
+    "SET pivot = Make SELECT Price, Mileage FROM data WHERE BodyType IN "
+    "(Sedan, Truck) AND Price < 20000 AND Mileage > 50000",
+    "SET pivot = Make SELECT Price, Mileage FROM data WHERE BodyType IN "
+    "(Sedan, Truck) AND Transmission = Automatic",
+    "SET pivot = Make SELECT Price FROM data WHERE Year >= 2011 AND "
+    "Mileage < 30000",
+    "SET pivot = BodyType SELECT Price FROM data WHERE Make = Ford",
+    "SET pivot = Color SELECT Mileage, Year FROM data WHERE Price < 12000",
+)
+
+
+def build_views(dbx):
+    views = []
+    for i, body in enumerate(EXPLORE_BUILDS):
+        views.append(dbx.execute(
+            f"CREATE CADVIEW held{i} AS {body} LIMIT COLUMNS 4 IUNITS 3"
+        ))
+        dbx.execute(f"DROP CADVIEW held{i}")
+    return views
+
+
+def candidate_bytes(cad):
+    return [
+        (value, u.size, dict(u.display),
+         [u.distributions[a].tobytes() for a in u.compare_attributes])
+        for value, units in cad.candidates.items() for u in units
+    ]
+
+
+@pytest.fixture(scope="module")
+def explorer40k():
+    dbx = DBExplorer(CADViewConfig(seed=7))
+    dbx.register("data", generate_usedcars(40_000, seed=7))
+    return dbx
+
+
+def test_builds_equal_the_held_forms(explorer40k):
+    """Partition, centroid sums, distances and labeling all held."""
+    new = build_views(explorer40k)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(DiscretizedView, "partition", partition_reference)
+        mp.setattr(kmeans_module, "_CountSums", count_sums_reference)
+        mp.setattr(kmeans_module, "_pairwise_sq_dists", distances_reference)
+        mp.setattr(builder_module, "build_iunits", build_iunits_reference)
+        old = build_views(explorer40k)
+    for a, b in zip(new, old):
+        assert to_dict(a) == to_dict(b)
+        assert candidate_bytes(a) == candidate_bytes(b)
 
 
 # ------------------------------------------------ categorical remap
