@@ -28,16 +28,7 @@ from repro.core.builder import CADViewBuilder
 from repro.core.cadview import CADView, CADViewConfig, IUnitRef
 from repro.core.render import render_cadview
 from repro.dataset.table import Table
-from repro.errors import (
-    AnalysisError,
-    BudgetExceededError,
-    CADViewError,
-    ConvergenceError,
-    OverloadedError,
-    ParseError,
-    QueryCancelledError,
-    QueryError,
-)
+from repro.errors import AnalysisError, CADViewError, QueryError
 from repro.obs import work
 from repro.obs.export import render_trace
 from repro.obs.tracer import Tracer
@@ -45,6 +36,7 @@ from repro.obs.worklog import (
     NO_WORKLOG,
     WorkLogWriter,
     statement_kind,
+    statement_status,
 )
 from repro.robustness import (
     Budget,
@@ -324,7 +316,7 @@ class DBExplorer:
         self.worklog.statement(
             sql,
             statement_kind(stmt),
-            _statement_status(error),
+            statement_status(error),
             elapsed_ms,
             rows_in=rows_in,
             rows_out=_result_rows(result),
@@ -553,31 +545,6 @@ class DBExplorer:
                 lines.append(f"  limit: {stmt.limit}")
             return lines
         return [f"execute: {type(stmt).__name__}"]
-
-
-def _statement_status(error: Optional[BaseException]) -> str:
-    """Map an execute() outcome onto the worklog status vocabulary.
-
-    The buckets mirror the CLI exit-code contract (0 ok / 1 usage /
-    2 build failed / 3 budget exhausted) with the two pre-execution
-    rejections split out, so a replayed log can be compared rung by
-    rung.
-    """
-    if error is None:
-        return "ok"
-    if isinstance(error, BudgetExceededError):
-        return "budget_exhausted"
-    if isinstance(error, AnalysisError):
-        return "analysis_error"
-    if isinstance(error, ParseError):
-        return "parse_error"
-    if isinstance(error, QueryCancelledError):
-        return "cancelled"
-    if isinstance(error, OverloadedError):
-        return "rejected"
-    if isinstance(error, (CADViewError, ConvergenceError)):
-        return "build_failed"
-    return "error"
 
 
 def _work_lines() -> List[str]:

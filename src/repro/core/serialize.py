@@ -1,4 +1,4 @@
-"""JSON export/import of CAD Views.
+"""JSON export of CAD Views.
 
 "Our proposed CAD View can be integrated with any structured data
 presentation system" (paper Sec. 1) — this module defines that
@@ -6,28 +6,20 @@ integration surface: a stable JSON document carrying the full view
 (pivot, Compare Attributes, per-row IUnits with display labels, sizes
 and value-frequency distributions, the label domains, and the
 selection predicate of every displayed label so front-ends can make
-labels clickable).
-
-``loads``/``from_dict`` reconstruct the IUnits well enough to run the
-similarity machinery (Algorithms 1 and 2) on the receiving side — a
-front-end can re-rank and highlight without the backing table.
+labels clickable).  ``repro.serve.stress.result_payload`` hashes this
+document, so a view's digest covers every IUnit it shows.
 """
 
 from __future__ import annotations
 
-import json
-from typing import Dict, List, Mapping, Sequence, Tuple
+from typing import Dict
 
 import numpy as np
 
 from repro.core.cadview import CADView
-from repro.errors import CADViewError
 from repro.iunits.iunit import IUnit
-from repro.iunits.similarity import iunit_similarity, ranked_list_distance
 
-__all__ = [
-    "to_dict", "dumps", "SerializedCADView", "from_dict", "loads",
-]
+__all__ = ["to_dict"]
 
 FORMAT_VERSION = 1
 
@@ -69,132 +61,3 @@ def to_dict(cad: CADView) -> dict:
             for value in cad.pivot_values
         },
     }
-
-
-def dumps(cad: CADView, **json_kwargs) -> str:
-    """Serialize a CAD View to a JSON string."""
-    return json.dumps(to_dict(cad), **json_kwargs)
-
-
-class SerializedCADView:
-    """A CAD View reconstructed from JSON: display + similarity only.
-
-    Enough for a presentation layer: rows of IUnits with labels and
-    distributions, plus Algorithms 1 and 2 (:meth:`similar_iunits`,
-    :meth:`value_distance`).  It has no backing table, so there is no
-    re-clustering or predicate evaluation.
-    """
-
-    def __init__(
-        self,
-        name: str,
-        pivot_attribute: str,
-        pivot_values: Sequence[str],
-        compare_attributes: Sequence[str],
-        tau: float,
-        rows: Mapping[str, Sequence[IUnit]],
-        labels: Mapping[str, Sequence[str]],
-        label_selectors: Mapping[str, Mapping[str, str]],
-    ):
-        self.name = name
-        self.pivot_attribute = pivot_attribute
-        self.pivot_values = tuple(pivot_values)
-        self.compare_attributes = tuple(compare_attributes)
-        self.tau = float(tau)
-        self.rows = {v: tuple(rows[v]) for v in self.pivot_values}
-        self.labels = {a: tuple(l) for a, l in labels.items()}
-        self.label_selectors = {
-            a: dict(m) for a, m in label_selectors.items()
-        }
-
-    def row(self, value: str) -> Tuple[IUnit, ...]:
-        """The ranked IUnits of one pivot value."""
-        try:
-            return self.rows[value]
-        except KeyError:
-            raise CADViewError(
-                f"pivot value {value!r} not in view"
-            ) from None
-
-    def iunit(self, value: str, iunit_id: int) -> IUnit:
-        """IUnit by (pivot value, 1-based id)."""
-        row = self.row(value)
-        if not 1 <= iunit_id <= len(row):
-            raise CADViewError(f"IUnit id {iunit_id} out of range")
-        return row[iunit_id - 1]
-
-    def similar_iunits(
-        self, value: str, iunit_id: int, threshold: float = None
-    ) -> List[Tuple[Tuple[str, int], float]]:
-        """Algorithm 1 over the reconstructed IUnits."""
-        anchor = self.iunit(value, iunit_id)
-        threshold = self.tau if threshold is None else threshold
-        hits = []
-        for v in self.pivot_values:
-            for unit in self.rows[v]:
-                if v == value and unit.uid == iunit_id:
-                    continue
-                sim = iunit_similarity(anchor, unit)
-                if sim >= threshold:
-                    hits.append(((v, unit.uid), sim))
-        hits.sort(key=lambda h: (-h[1], h[0]))
-        return hits
-
-    def value_distance(self, x: str, y: str) -> float:
-        """Algorithm 2 over the reconstructed IUnits."""
-        return ranked_list_distance(self.row(x), self.row(y), self.tau)
-
-    def selector_for(self, attribute: str, label: str) -> str:
-        """The SQL predicate a front-end attaches to a clicked label."""
-        try:
-            return self.label_selectors[attribute][label]
-        except KeyError:
-            raise CADViewError(
-                f"no selector for {attribute!r}={label!r}"
-            ) from None
-
-
-def from_dict(doc: Mapping) -> SerializedCADView:
-    """Reconstruct a :class:`SerializedCADView` from :func:`to_dict`."""
-    if doc.get("format") != FORMAT_VERSION:
-        raise CADViewError(
-            f"unsupported CAD View document format {doc.get('format')!r}"
-        )
-    compare = tuple(doc["compare_attributes"])
-    pivot = doc["pivot_attribute"]
-    rows: Dict[str, List[IUnit]] = {}
-    for value, units in doc["rows"].items():
-        rebuilt = []
-        for u in units:
-            rebuilt.append(
-                IUnit(
-                    pivot_attribute=pivot,
-                    pivot_value=value,
-                    size=int(u["size"]),
-                    compare_attributes=compare,
-                    distributions={
-                        a: np.asarray(u["distributions"][a], dtype=float)
-                        for a in compare
-                    },
-                    display={
-                        a: tuple(v) for a, v in u["display"].items()
-                    },
-                    uid=u["uid"],
-                )
-            )
-        rows[value] = rebuilt
-    return SerializedCADView(
-        doc["name"],
-        pivot,
-        doc["pivot_values"],
-        compare,
-        doc["tau"],
-        rows,
-        doc["labels"],
-        doc["label_selectors"],
-    )
-
-
-def loads(text: str) -> SerializedCADView:
-    """Reconstruct from a JSON string."""
-    return from_dict(json.loads(text))

@@ -163,10 +163,6 @@ class ChowLiuTree:
         """The attributes in the tree (topological order)."""
         return self.order
 
-    def parent_of(self, name: str) -> Optional[str]:
-        """The attribute's tree parent (None for the root)."""
-        return self._node(name).parent
-
     def neighbors(self, name: str) -> Tuple[str, ...]:
         """Tree neighbors = the attribute's Markov blanket in a tree."""
         self._node(name)

@@ -126,30 +126,21 @@ class Histogram:
 
     def quantile(self, q: float) -> float:
         """Approximate quantile: the upper bound of the q-th bucket."""
-        if not 0.0 <= q <= 1.0:
-            raise ValueError(f"q must be in [0, 1], got {q}")
-        if self.count == 0:
-            return 0.0
-        target = q * self.count
-        seen = 0
-        for idx, c in enumerate(self.counts):
-            seen += c
-            if seen >= target:
-                return (
-                    self.bounds[idx]
-                    if idx < len(self.bounds) else float("inf")
-                )
-        return float("inf")
+        dump = {
+            "bounds": self.bounds, "counts": self.counts, "count": self.count,
+        }
+        return hist_quantile(dump, q)
 
 
 def hist_quantile(dump: Dict[str, object], q: float) -> float:
     """Approximate quantile from a *snapshot* histogram dump.
 
-    Same bucket-upper-bound estimate as :meth:`Histogram.quantile`, but
-    over the ``{"bounds", "counts", "count", ...}`` dict a
+    The upper bound of the bucket holding the q-th observation, over
+    the ``{"bounds", "counts", "count", ...}`` dict a
     :meth:`MetricsRegistry.snapshot` produces — so SLO evaluation and
     ``repro stats`` can work from a JSON file without reconstructing
-    live metric objects.
+    live metric objects.  :meth:`Histogram.quantile` walks its live
+    buckets through here too.
     """
     if not 0.0 <= q <= 1.0:
         raise ValueError(f"q must be in [0, 1], got {q}")

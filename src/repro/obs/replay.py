@@ -23,6 +23,7 @@ from typing import Dict, Iterable, List, Optional, TYPE_CHECKING
 
 from repro.errors import ReproError
 from repro.obs.metrics import MetricsRegistry
+from repro.obs.worklog import statement_status
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids core<->obs cycle
     from repro.core.explorer import DBExplorer
@@ -215,9 +216,7 @@ def replay(
         try:
             dbx.execute(sql)
         except ReproError as exc:
-            from repro.core.explorer import _statement_status
-
-            status = _statement_status(exc)
+            status = statement_status(exc)
         elapsed = time.perf_counter() - start
         kind = str(record.get("statement_kind") or "unknown")
         executed_work = dbx.session().last_work

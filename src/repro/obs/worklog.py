@@ -64,6 +64,16 @@ import threading
 import time
 from typing import Dict, Iterator, List, Mapping, Optional
 
+from repro.errors import (
+    AnalysisError,
+    BudgetExceededError,
+    CADViewError,
+    ConvergenceError,
+    OverloadedError,
+    ParseError,
+    QueryCancelledError,
+)
+
 __all__ = [
     "WORKLOG_VERSION",
     "WorkLogWriter",
@@ -72,19 +82,10 @@ __all__ = [
     "iter_worklog",
     "read_worklog",
     "statement_kind",
+    "statement_status",
 ]
 
 WORKLOG_VERSION = 1
-
-# Statement statuses, mirroring the CLI exit-code contract.
-STATUS_OK = "ok"
-STATUS_ANALYSIS = "analysis_error"
-STATUS_PARSE = "parse_error"
-STATUS_BUILD_FAILED = "build_failed"
-STATUS_BUDGET = "budget_exhausted"
-STATUS_CANCELLED = "cancelled"   # serving watchdog tripped the token
-STATUS_REJECTED = "rejected"     # admission control refused to queue
-STATUS_ERROR = "error"
 
 # AST class name -> the stable statement_kind written to the log.
 _KIND_BY_CLASS = {
@@ -118,6 +119,31 @@ def statement_kind(stmt: Optional[object]) -> str:
             out.append("_")
         out.append(ch.lower())
     return "".join(out)
+
+
+def statement_status(error: Optional[BaseException]) -> str:
+    """The ``status`` written for a statement that raised ``error``.
+
+    The buckets mirror the CLI exit-code contract (0 ok / 1 usage /
+    2 build failed / 3 budget exhausted) with the two pre-execution
+    rejections split out, so a replayed log can be compared rung by
+    rung.  ``None`` (no error) is ``"ok"``.
+    """
+    if error is None:
+        return "ok"
+    if isinstance(error, BudgetExceededError):
+        return "budget_exhausted"
+    if isinstance(error, AnalysisError):
+        return "analysis_error"
+    if isinstance(error, ParseError):
+        return "parse_error"
+    if isinstance(error, QueryCancelledError):
+        return "cancelled"
+    if isinstance(error, OverloadedError):
+        return "rejected"
+    if isinstance(error, (CADViewError, ConvergenceError)):
+        return "build_failed"
+    return "error"
 
 
 class WorkLogWriter:

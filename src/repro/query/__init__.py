@@ -12,7 +12,7 @@ from repro.query.ast import (
     Statement,
 )
 from repro.query.aggregate import AggregateSpec, GroupedResult, cube, group_by
-from repro.query.analyzer import Analyzer, AnalyzerLimits, analyze_statement
+from repro.query.analyzer import Analyzer, AnalyzerLimits
 from repro.query.diagnostics import (
     AnalysisReport, Diagnostic, Severity, levenshtein, suggest,
 )
@@ -33,6 +33,6 @@ __all__ = [
     "HighlightSimilarStatement", "ReorderRowsStatement", "OrderKey",
     "DescribeStatement", "ShowCadViewsStatement", "DropCadViewStatement",
     "hash_join",
-    "Analyzer", "AnalyzerLimits", "analyze_statement",
+    "Analyzer", "AnalyzerLimits",
     "AnalysisReport", "Diagnostic", "Severity", "levenshtein", "suggest",
 ]

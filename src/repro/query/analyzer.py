@@ -27,7 +27,8 @@ Checks implemented (code table in :mod:`repro.query.diagnostics`):
 
 Usage::
 
-    report = analyze_statement(parse(sql), engine=engine, text=sql)
+    analyzer = Analyzer(engine=engine, views=views)
+    report = analyzer.analyze(parse(sql), text=sql)
     if not report.ok:
         raise AnalysisError(report)
 """
@@ -54,7 +55,7 @@ from repro.query.predicates import (
     And, Between, Cmp, Eq, In, IsMissing, Ne, Not, Or, Predicate, TruePred,
 )
 
-__all__ = ["Analyzer", "AnalyzerLimits", "analyze_statement"]
+__all__ = ["Analyzer", "AnalyzerLimits"]
 
 
 @dataclass(frozen=True)
@@ -635,18 +636,3 @@ class Analyzer:
         if isinstance(value, str) and _is_float(value):
             return float(value)
         return value
-
-
-def analyze_statement(
-    stmt: Statement,
-    engine=None,
-    views: Optional[Mapping[str, object]] = None,
-    text: str = "",
-    limits: Optional[AnalyzerLimits] = None,
-) -> AnalysisReport:
-    """One-shot convenience wrapper around :class:`Analyzer`."""
-    analyzer = Analyzer(
-        engine=engine, views=views,
-        limits=limits if limits is not None else AnalyzerLimits(),
-    )
-    return analyzer.analyze(stmt, text=text)

@@ -1,7 +1,6 @@
 """The query engine: evaluate predicates and simple statements on tables.
 
-Also the registry of named tables (the ``FROM`` clause namespace) and
-named CAD Views (the ``CREATE CADVIEW name`` namespace).
+Also the registry of named tables (the ``FROM`` clause namespace).
 """
 
 from __future__ import annotations
@@ -51,41 +50,6 @@ class QueryEngine:
     def table_names(self) -> tuple:
         """Registered table names, sorted."""
         return tuple(sorted(self._tables))
-
-    # -- static analysis ---------------------------------------------------
-
-    def analyze(self, stmt_or_sql, views=None, text: str = ""):
-        """Semantic-check a statement against this catalog, no execution.
-
-        Accepts SQL text or a parsed statement and returns the
-        :class:`~repro.query.diagnostics.AnalysisReport`.  ``views`` is
-        an optional name -> CAD View mapping for HIGHLIGHT/REORDER/DROP
-        checks (the engine itself does not hold views).
-        """
-        # imported here: analyzer imports predicates, which imports this
-        # module's QueryError sibling — keep module import cycle-free
-        from repro.query.analyzer import Analyzer
-        from repro.query.parser import parse
-
-        if isinstance(stmt_or_sql, str):
-            text = stmt_or_sql
-            stmt = parse(stmt_or_sql)
-        else:
-            stmt = stmt_or_sql
-        return Analyzer(engine=self, views=views).analyze(stmt, text=text)
-
-    def check(self, stmt_or_sql, views=None, text: str = "") -> None:
-        """The pre-execution gate: raise on ERROR diagnostics.
-
-        Runs :meth:`analyze` and raises
-        :class:`~repro.errors.AnalysisError` when the statement can be
-        proven broken without running it; otherwise returns ``None``.
-        """
-        from repro.errors import AnalysisError
-
-        report = self.analyze(stmt_or_sql, views=views, text=text)
-        if not report.ok:
-            raise AnalysisError(report)
 
     # -- evaluation ------------------------------------------------------
 

@@ -182,9 +182,6 @@ class _Parser:
             raise ParseError("expected identifier", self.text, tok.pos)
         return tok
 
-    def _expect_ident(self) -> str:
-        return self._expect_ident_token().value
-
     def _expect_number(self) -> float:
         tok = self._next()
         if tok.kind != "number":

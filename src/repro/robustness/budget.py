@@ -65,15 +65,6 @@ class Budget:
                 f"degrade_at must be in (0, 1], got {self.degrade_at}"
             )
 
-    @property
-    def unlimited(self) -> bool:
-        """True when no limit of any kind is set."""
-        return (
-            self.deadline_s is None
-            and self.max_rows is None
-            and self.max_cells is None
-        )
-
     def row_cap(self, n_attributes: int) -> Optional[int]:
         """Effective input row cap given the table width (or ``None``)."""
         caps = []

@@ -65,7 +65,7 @@ from repro.errors import (
     ServeError,
 )
 from repro.obs.metrics import MetricsRegistry, registry
-from repro.obs.worklog import WorkLogWriter, statement_kind
+from repro.obs.worklog import WorkLogWriter, statement_kind, statement_status
 from repro.query.parser import parse
 from repro.robustness.budget import Budget
 from repro.robustness.cancel import CancelToken
@@ -586,7 +586,7 @@ class SessionExecutor:
                 self._queued -= 1
                 self._outstanding.pop(index, None)
             ticket.finish(
-                "failed", _status_of(exc), self._metrics,
+                "failed", statement_status(exc), self._metrics,
                 self.dbx.worklog, error=exc,
             )
             return ticket
@@ -670,7 +670,7 @@ class SessionExecutor:
         with self._lock:
             self._latency_ewma_s = ewma_s(self._latency_ewma_s, elapsed)
 
-        status = _status_of(run.error)
+        status = statement_status(run.error)
         if breaker is not None:
             breaker.settle(status, ticket.cancel.reason, probe=ticket.probe)
         ticket.attempts = run.attempts
@@ -734,11 +734,3 @@ class SessionExecutor:
 
     def __exit__(self, *exc_info) -> None:
         self.close()
-
-
-def _status_of(error: Optional[BaseException]) -> str:
-    # lazy import: repro.core.explorer imports repro.serve at module
-    # load; the reverse edge must stay runtime-only
-    from repro.core.explorer import _statement_status
-
-    return _statement_status(error)

@@ -85,7 +85,12 @@ from repro.errors import (
 from repro.obs.hub import TelemetryHub
 from repro.obs.metrics import MetricsRegistry, hist_quantile, registry
 from repro.obs.tracer import Span, Tracer
-from repro.obs.worklog import NO_WORKLOG, WorkLogWriter, statement_kind
+from repro.obs.worklog import (
+    NO_WORKLOG,
+    WorkLogWriter,
+    statement_kind,
+    statement_status,
+)
 from repro.query.ast import (
     CreateCadViewStatement,
     DescribeStatement,
@@ -114,7 +119,6 @@ from repro.serve.durability.recovery import (
 from repro.serve.durability.wal import WalWriter
 from repro.serve.executor import (
     StatementTicket,
-    _status_of,
     admit,
     ewma_s,
     open_ticket,
@@ -666,7 +670,7 @@ class ProcSupervisor:
         except (ParseError, AnalysisError) as exc:
             self._metrics.counter("proc.unrouted.completed").inc()
             ticket.finish(
-                "failed", _status_of(exc), self._metrics, self._worklog,
+                "failed", statement_status(exc), self._metrics, self._worklog,
                 error=exc,
             )
             return ticket

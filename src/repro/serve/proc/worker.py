@@ -59,6 +59,7 @@ from repro.robustness.cancel import CancelToken
 from repro.robustness.faults import NO_FAULTS, FaultInjector
 from repro.obs.metrics import registry
 from repro.obs.tracer import Span, Tracer, epoch_anchor, span_to_wire
+from repro.obs.worklog import statement_kind, statement_status
 from repro.serve.executor import execute_with_retries
 from repro.serve.proc.protocol import (
     FRAME_BYE,
@@ -464,8 +465,7 @@ class _Worker:
         """One statement through the thread executor's retry loop."""
         # lazy import: keeps worker import time (spawn latency) down and
         # avoids a module cycle through repro.serve.stress
-        from repro.core.explorer import _result_rows, _statement_status
-        from repro.obs.worklog import statement_kind
+        from repro.core.explorer import _result_rows
         from repro.query.ast import CreateCadViewStatement
         from repro.query.parser import parse
         from repro.serve.stress import result_payload
@@ -499,7 +499,7 @@ class _Worker:
                 "iunits": report.profile.iunits_s * 1e3,
                 "others": report.profile.others_s * 1e3,
             }
-        status = _statement_status(error)
+        status = statement_status(error)
         kind = statement_kind(stmt)
         # process-local metrics: shipped to the supervisor as part of
         # the cumulative TELEMETRY snapshot, re-labeled per shard there

@@ -8,7 +8,6 @@ from repro.study.metrics import (
     pair_similarity_ranking,
     retrieval_error,
 )
-from repro.study.report import study_report
 from repro.study.runner import Measurement, StudyResults, run_study
 from repro.study.workload import (
     GeneratedQuery,
@@ -30,6 +29,5 @@ __all__ = [
     "CostModel", "UserProfile",
     "SolrAgent", "TPFacetAgent", "AgentOutcome",
     "Measurement", "StudyResults", "run_study",
-    "study_report",
     "GeneratedQuery", "random_subsets", "random_conjunctive_queries",
 ]

@@ -22,7 +22,7 @@ from repro.query import (
     And, Between, Cmp, Eq, In, IsMissing, Ne, Not, Or, Predicate,
     SelectStatement, parse,
 )
-from repro.query.analyzer import analyze_statement
+from repro.query.analyzer import Analyzer
 from repro.query.diagnostics import levenshtein
 
 SCHEMA = Schema([
@@ -146,7 +146,7 @@ def test_clean_selects_execute_without_analysis_error(pred):
 def test_contradiction_reports_imply_empty_masks(pred):
     """QA301 claims the WHERE matches no row — the mask must agree."""
     stmt = SelectStatement("T", where=pred)
-    report = analyze_statement(stmt, engine=DBX.engine)
+    report = Analyzer(engine=DBX.engine).analyze(stmt)
     error_codes = {d.code for d in report.errors}
     # only when the contradiction is the sole defect is the mask even
     # evaluable — type errors (QA1xx/QA2xx) make mask() raise instead

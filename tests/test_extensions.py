@@ -1,5 +1,5 @@
 """Tests for the extension batch: catalog statements, workload
-generation, incremental refinement, hierarchical clustering, report."""
+generation, incremental refinement, hierarchical clustering."""
 
 import numpy as np
 import pytest
@@ -11,9 +11,7 @@ from repro.query import Cmp, QueryEngine, parse, parse_predicate
 from repro.query.ast import (
     DescribeStatement, DropCadViewStatement, ShowCadViewsStatement,
 )
-from repro.study import (
-    random_conjunctive_queries, random_subsets, run_study, study_report,
-)
+from repro.study import random_conjunctive_queries, random_subsets
 
 
 class TestCatalogStatements:
@@ -172,16 +170,3 @@ class TestAgglomerative:
             agglomerative(np.empty((0, 2)), 2)
         with pytest.raises(QueryError):
             agglomerative(np.zeros((5, 2)), 0)
-
-
-class TestStudyReport:
-    def test_report_structure(self, mushroom):
-        results = run_study(mushroom, seed=2016)
-        text = study_report(results, title="Repro study")
-        assert "# Repro study" in text
-        assert "## Simple Classifier" in text
-        assert "## Most Similar Facet Value Pair" in text
-        assert "## Alternative Search Condition" in text
-        assert "| U1 |" in text
-        assert "speedup" in text
-        assert "chi2(1)" in text
