@@ -20,7 +20,7 @@ from __future__ import annotations
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, List, Mapping, Optional, Tuple, Union
 
 import numpy as np
 
@@ -63,7 +63,7 @@ from repro.query.diagnostics import AnalysisReport
 from repro.query.engine import QueryEngine
 from repro.query.parser import parse
 
-__all__ = ["DBExplorer", "Session"]
+__all__ = ["DBExplorer", "Prepared", "Session"]
 
 ExecuteResult = Union[str, Table, CADView, List[Tuple[IUnitRef, float]]]
 
@@ -85,6 +85,31 @@ class Session:
     last_analysis: Optional[AnalysisReport] = None
     last_work: Optional[Dict[str, int]] = None
     statements: int = 0
+
+
+@dataclass(frozen=True, eq=False)
+class Prepared:
+    """One statement parsed and analyzed once, ready to execute.
+
+    :meth:`DBExplorer.prepare` makes it and :meth:`DBExplorer.execute`
+    runs it without parsing again.  ``report`` is the analysis, ``None``
+    for a plain ``EXPLAIN`` (never analyzed).  ``views`` and ``tables``
+    are the catalog snapshots that analysis read.  Both catalogs are
+    replaced, never mutated, on every change, so an identity check
+    tells whether either moved; the references are held (not their
+    ``id``) so a freed snapshot's id cannot come back as a new one's.
+    """
+
+    sql: str
+    stmt: Statement
+    report: Optional[AnalysisReport]
+    views: Mapping[str, object]
+    tables: Mapping[str, Table]
+
+    @property
+    def ok(self) -> bool:
+        """False when the analysis found an ERROR-severity diagnostic."""
+        return self.report is None or self.report.ok
 
 
 @dataclass
@@ -184,9 +209,31 @@ class DBExplorer:
 
     # -- execution -------------------------------------------------------------
 
+    def prepare(self, sql: str) -> Prepared:
+        """Parse and analyze one statement, without executing it.
+
+        Raises :class:`~repro.errors.ParseError` for text that does not
+        parse.  An analyzer rejection is returned, not raised (``ok`` is
+        false): :meth:`execute` raises it as
+        :class:`~repro.errors.AnalysisError`, and a serving gate can
+        fail the statement before it takes a thread.
+        """
+        return self._prepared(parse(sql), sql)
+
+    def _prepared(self, stmt: Statement, sql: str) -> Prepared:
+        # the snapshots are taken before the analysis reads the
+        # catalogs: a change landing mid-analysis leaves them stale
+        views, tables = self._views.snapshot(), self.engine.snapshot()
+        plain_explain = (
+            isinstance(stmt, ExplainStatement)
+            and not stmt.analyze and not stmt.check
+        )
+        report = None if plain_explain else self.analyze(stmt, text=sql)
+        return Prepared(sql, stmt, report, views, tables)
+
     def execute(
         self,
-        sql: str,
+        statement: Union[str, Prepared],
         *,
         session: Optional[Union[str, Session]] = None,
         cancel: Optional[CancelToken] = None,
@@ -194,6 +241,12 @@ class DBExplorer:
         faults: Optional[FaultInjector] = None,
     ) -> ExecuteResult:
         """Parse, analyze and run one statement.
+
+        ``statement`` is SQL text or a :class:`Prepared` from
+        :meth:`prepare`.  A prepared statement is not parsed again, and
+        is analyzed again only when the view or table catalog changed
+        since it was prepared, so the analysis always matches the
+        catalogs the statement runs against.
 
         The semantic analyzer (:mod:`repro.query.analyzer`) gates every
         statement before anything executes: ERROR-severity diagnostics
@@ -223,6 +276,8 @@ class DBExplorer:
             executor passes a degraded budget while a circuit breaker
             is open, and a forked injector per admitted statement).
         """
+        prepared = statement if isinstance(statement, Prepared) else None
+        sql = prepared.sql if prepared is not None else statement
         sess = self._resolve_session(session)
         ctx = _ExecContext(
             sess, cancel=cancel, budget=budget, faults=faults,
@@ -237,8 +292,8 @@ class DBExplorer:
         # tracer spans for EXPLAIN ANALYZE
         with work.track(self.tracer) as counters:
             try:
-                stmt = parse(sql)
-                result = self._execute(stmt, sql, ctx)
+                stmt = prepared.stmt if prepared is not None else parse(sql)
+                result = self._execute(stmt, sql, prepared, ctx)
             except BaseException as exc:
                 sess.last_work = counters.as_dict()
                 self._log_statement(
@@ -252,18 +307,24 @@ class DBExplorer:
         return result
 
     def _execute(
-        self, stmt: Statement, sql: str, ctx: _ExecContext
+        self,
+        stmt: Statement,
+        sql: str,
+        prepared: Optional[Prepared],
+        ctx: _ExecContext,
     ) -> ExecuteResult:
         """The analyzer gate and dispatch behind :meth:`execute`."""
         sess = ctx.session
         sess.last_analysis = None
         sess.statements += 1
-        plain_explain = (
-            isinstance(stmt, ExplainStatement)
-            and not stmt.analyze and not stmt.check
-        )
-        if not plain_explain:
-            report = self.analyze(stmt, text=sql)
+        if prepared is None or not (
+            prepared.views is self._views.snapshot()
+            and prepared.tables is self.engine.snapshot()
+        ):
+            # SQL text, or a catalog moved since it was prepared
+            prepared = self._prepared(stmt, sql)
+        report = prepared.report
+        if report is not None:
             if not report.ok:
                 raise AnalysisError(report)
             sess.last_analysis = report
@@ -473,11 +534,6 @@ class DBExplorer:
         the trace's Figure-8 bucket totals against the legacy
         :class:`~repro.core.profile.BuildProfile` and the build report.
         """
-        if stmt.check:
-            report = self.analyze(stmt.inner)
-            if not report.ok:
-                raise AnalysisError(report)
-            return report.render()
         if not stmt.analyze:
             return "\n".join(self._plan_lines(stmt.inner))
         tracer = Tracer("explain")

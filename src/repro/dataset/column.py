@@ -153,10 +153,6 @@ class Column:
         """A new column containing rows at ``indices`` (shares categories)."""
         return Column(self.attribute, self._data[indices], self._categories)
 
-    def mask(self, boolmask: np.ndarray) -> "Column":
-        """A new column with rows where ``boolmask`` is True."""
-        return Column(self.attribute, self._data[boolmask], self._categories)
-
     def code_of(self, value: str) -> int:
         """Code for a categorical ``value``; ``-1`` if it never occurs."""
         if not self.attribute.is_categorical:
@@ -176,9 +172,13 @@ class Column:
         sorted unique values.
         """
         if self.attribute.is_categorical:
-            present = np.unique(self._data)
+            # count codes shifted by one, so missing (-1) lands in slot
+            # 0 and is dropped: a linear count instead of a sort
+            counts = np.bincount(
+                self._data + 1, minlength=len(self._categories) + 1
+            )
             return tuple(
-                self._categories[int(c)] for c in present if c >= 0
+                self._categories[int(c)] for c in np.flatnonzero(counts[1:])
             )
         vals = self._data[~np.isnan(self._data)]
         return tuple(float(v) for v in np.unique(vals))

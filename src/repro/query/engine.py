@@ -5,6 +5,7 @@ Also the registry of named tables (the ``FROM`` clause namespace).
 
 from __future__ import annotations
 
+import threading
 import time
 from typing import Dict, Optional, Sequence
 
@@ -29,13 +30,26 @@ class QueryEngine:
     """
 
     def __init__(self) -> None:
+        self._lock = threading.Lock()
         self._tables: Dict[str, Table] = {}
 
     # -- catalog ------------------------------------------------------
 
     def register(self, name: str, table: Table) -> None:
-        """Register ``table`` under ``name`` for use in FROM clauses."""
-        self._tables[name] = table
+        """Register ``table`` under ``name`` for use in FROM clauses.
+
+        Copy-on-write, like the view registry: the catalog dict is
+        copied and swapped, never mutated, so :meth:`snapshot`'s
+        identity changes exactly when the catalog does.
+        """
+        with self._lock:
+            tables = dict(self._tables)
+            tables[name] = table
+            self._tables = tables
+
+    def snapshot(self) -> Dict[str, Table]:
+        """The current immutable table catalog (name -> table)."""
+        return self._tables
 
     def table(self, name: str) -> Table:
         """Look up a registered table."""

@@ -10,10 +10,13 @@ unboundedly — under overload it says so, cheaply, at the door.
 
 What happens to an admitted statement:
 
-1. The **analyzer gate** runs on the caller thread at submit, so a
-   statement the semantic analyzer rejects never costs a queue slot or
-   a pool thread (plain worker-side execution re-checks it — the gate
-   is an admission optimization, not the source of truth).
+1. The **analyzer gate** runs on the caller thread at submit: it
+   prepares the statement (:meth:`~repro.core.explorer.DBExplorer.
+   prepare`, one parse and one analysis), so a statement the parser or
+   the semantic analyzer rejects never costs a pool thread.  The pool
+   thread executes that prepared statement without parsing it again,
+   and analyzes it again only if the view or table catalog changed
+   while it waited, so execution stays the source of truth.
 2. A **worker thread** picks the ticket up.  If a per-dataset
    :class:`~repro.serve.breaker.CircuitBreaker` is open, the build is
    short-circuited onto the PR-1 degradation ladder: it runs under the
@@ -53,7 +56,9 @@ import random
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional
+from typing import (
+    TYPE_CHECKING, Callable, Dict, List, Optional, Tuple, Union,
+)
 
 from repro.errors import (
     AnalysisError,
@@ -66,7 +71,9 @@ from repro.errors import (
 )
 from repro.obs.metrics import MetricsRegistry, registry
 from repro.obs.worklog import WorkLogWriter, statement_kind, statement_status
-from repro.query.parser import parse
+# unused here (the explorer prepares statements), but the traced
+# benchmark run (perfbench/tracing.py) wraps ``parse`` by this name
+from repro.query.parser import parse  # noqa: F401
 from repro.robustness.budget import Budget
 from repro.robustness.cancel import CancelToken
 from repro.robustness.faults import NO_FAULTS, FaultInjector
@@ -78,7 +85,7 @@ from repro.serve.breaker import (
 )
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids serve<->core cycle
-    from repro.core.explorer import DBExplorer, Session
+    from repro.core.explorer import DBExplorer, Prepared, Session
     from repro.robustness.report import BuildReport
 
 __all__ = [
@@ -349,7 +356,9 @@ def admit(
     it takes a slot and returns ``None``, or — queue full, or ``refuse``
     set by a planned error at the ``serve.queue_full`` site — returns
     the Retry-After estimate the raised :class:`OverloadedError`
-    carries.
+    carries.  The transport parses before it admits, so a rejected
+    ticket's record carries the ``kind`` that parse set (``invalid``
+    when the statement did not parse).
     """
     reason = None
     try:
@@ -368,10 +377,6 @@ def admit(
         retry_after_s=retry_after,
     )
     metrics.counter("serve.rejected").inc()
-    try:
-        ticket.kind = statement_kind(parse(ticket.sql))
-    except ReproError:
-        ticket.kind = "invalid"
     ticket.finish("rejected", "rejected", metrics, worklog, error=error)
     raise error
 
@@ -415,7 +420,7 @@ class Execution:
 def execute_with_retries(
     dbx: "DBExplorer",
     session: "Session",
-    sql: str,
+    statement: "Union[str, Prepared]",
     cancel: CancelToken,
     faults: FaultInjector,
     budget: Optional[Budget],
@@ -426,10 +431,11 @@ def execute_with_retries(
     """Run one statement under the transient-retry policy.
 
     Each attempt fires the ``serve.slow_worker`` site, then runs
-    ``dbx.execute`` (one injector across attempts, so counting faults
-    expire).  Transient errors retry up to ``max_retries`` times after
-    a backoff jittered by ``jitter_index``; anything else ends the
-    statement.
+    ``dbx.execute`` on ``statement``: SQL text, or the one
+    :class:`~repro.core.explorer.Prepared` every attempt reuses.  One
+    injector serves every attempt, so counting faults expire.
+    Transient errors retry up to ``max_retries`` times after a backoff
+    jittered by ``jitter_index``; anything else ends the statement.
     """
     report_before = session.last_report
     result: Optional[object] = None
@@ -443,7 +449,7 @@ def execute_with_retries(
             cancel.raise_if_cancelled()
             executed = True
             result = dbx.execute(
-                sql, session=session, cancel=cancel, budget=budget,
+                statement, session=session, cancel=cancel, budget=budget,
                 faults=faults,
             )
             error = None
@@ -477,6 +483,9 @@ def _backoff_s(index: int, attempt: int) -> float:
     return base * (0.5 + rng.random() / 2.0)
 
 
+_Admitted = Tuple[StatementTicket, "Prepared"]
+
+
 class SessionExecutor:
     """Bounded-admission thread pool executing statements through ``dbx``.
 
@@ -504,7 +513,9 @@ class SessionExecutor:
         self._now = now
         self._sleep = sleep
         self._lock = threading.Lock()
-        self._queue: "queue.Queue[Optional[StatementTicket]]" = queue.Queue()
+        # each admitted ticket with its prepared statement; None stops
+        # a worker
+        self._queue: "queue.Queue[Optional[_Admitted]]" = queue.Queue()
         self._queued = 0       # tickets waiting for a worker
         self._active = 0       # tickets executing right now
         self._submitted = 0    # monotonically increasing ticket index
@@ -554,9 +565,13 @@ class SessionExecutor:
 
         Raises :class:`OverloadedError` on a full queue (with a
         Retry-After estimate) and :class:`ServeError` after
-        :meth:`close`.  Statements the parser or analyzer reject are
-        *admitted then failed immediately* on the caller thread — they
-        get a ticket and a worklog record but never cost a pool thread.
+        :meth:`close`.  The statement is prepared on the caller thread
+        (one parse, one analysis), before admission so that a rejected
+        ticket still knows its kind.  Statements the parser or analyzer
+        reject are *admitted then failed immediately* there — they get
+        a ticket and a worklog record but never cost a pool thread.  An
+        admitted statement runs as prepared, re-analyzed only if a
+        catalog changed while it was queued.
         """
         with self._lock:
             if self._closed:
@@ -567,31 +582,33 @@ class SessionExecutor:
             index, sql, session, faults, fault_index, self.dbx.faults,
             self.config.deadline_s, self._now,
         )
+        failure: Optional[ReproError] = None
+        try:
+            prepared = self.dbx.prepare(sql)
+        except ParseError as exc:
+            failure = exc
+        else:
+            ticket.kind = statement_kind(prepared.stmt)
+            ticket.dataset = breaker_key(prepared.stmt)
+            if not prepared.ok:
+                failure = AnalysisError(prepared.report)
         admit(
             ticket, self._reserve, self.config.queue_limit, self._metrics,
             self.dbx.worklog,
         )
-
-        # the analyzer gate, on the caller thread: a statement that can
-        # never execute fails here without consuming a pool thread
-        try:
-            stmt = parse(sql)
-            ticket.kind = statement_kind(stmt)
-            ticket.dataset = breaker_key(stmt)
-            report = self.dbx.analyze(stmt, text=sql)
-            if not report.ok:
-                raise AnalysisError(report)
-        except (ParseError, AnalysisError) as exc:
+        if failure is not None:
+            # the analyzer gate: a statement that can never execute
+            # fails here without consuming a pool thread
             with self._lock:
                 self._queued -= 1
                 self._outstanding.pop(index, None)
             ticket.finish(
-                "failed", statement_status(exc), self._metrics,
-                self.dbx.worklog, error=exc,
+                "failed", statement_status(failure), self._metrics,
+                self.dbx.worklog, error=failure,
             )
             return ticket
 
-        self._queue.put(ticket)
+        self._queue.put((ticket, prepared))
         return ticket
 
     def run(
@@ -625,9 +642,10 @@ class SessionExecutor:
 
     def _worker(self) -> None:
         while True:
-            ticket = self._queue.get()
-            if ticket is None:
+            item = self._queue.get()
+            if item is None:
                 return
+            ticket, prepared = item
             with self._lock:
                 self._queued -= 1
                 self._active += 1
@@ -635,7 +653,7 @@ class SessionExecutor:
             self._metrics.gauge("serve.queue_depth").set(float(depth))
             self._metrics.gauge("serve.active_workers").set(float(active))
             try:
-                self._run_ticket(ticket)
+                self._run_ticket(ticket, prepared)
             finally:
                 with self._lock:
                     self._active -= 1
@@ -645,7 +663,9 @@ class SessionExecutor:
                     float(active)
                 )
 
-    def _run_ticket(self, ticket: StatementTicket) -> None:
+    def _run_ticket(
+        self, ticket: StatementTicket, prepared: "Prepared"
+    ) -> None:
         breaker = None
         budget_override: Optional[Budget] = None
         if self._breakers is not None and ticket.dataset is not None:
@@ -662,7 +682,7 @@ class SessionExecutor:
         session = self.dbx.session(ticket.session)
         start = self._now()
         run = execute_with_retries(
-            self.dbx, session, ticket.sql, ticket.cancel, ticket.faults,
+            self.dbx, session, prepared, ticket.cancel, ticket.faults,
             budget_override, self.config.max_retries, ticket.index,
             self._sleep,
         )

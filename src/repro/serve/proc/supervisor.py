@@ -79,6 +79,7 @@ from repro.errors import (
     ParseError,
     QueryCancelledError,
     RecoveryError,
+    ReproError,
     ServeError,
     WorkerCrashError,
 )
@@ -648,6 +649,16 @@ class ProcSupervisor:
             index, sql, session, faults, fidx, self._faults,
             self.config.deadline_s, self._now,
         )
+        # parse once on the caller thread, before admission, so that a
+        # rejected ticket knows its kind too
+        failure: Optional[ReproError] = None
+        try:
+            stmt = parse(sql)
+        except ParseError as exc:
+            failure = exc
+        else:
+            ticket.kind = statement_kind(stmt)
+            ticket.dataset = breaker_key(stmt)
         try:
             admit(
                 ticket, self._reserve, self.config.queue_limit,
@@ -658,20 +669,20 @@ class ProcSupervisor:
             self._metrics.counter("proc.unrouted.completed").inc()
             raise
 
-        # parse on the caller thread: a statement that cannot parse, or
-        # that names a view no shard holds, fails here without ever
-        # crossing a pipe (the rest of the analyzer gate lives
-        # worker-side — only workers hold the tables)
-        try:
-            stmt = parse(sql)
-            ticket.kind = statement_kind(stmt)
-            ticket.dataset = breaker_key(stmt)
-            self._check_view_known(stmt, sql)
-        except (ParseError, AnalysisError) as exc:
+        # a statement that cannot parse, or that names a view no shard
+        # holds, fails here without ever crossing a pipe (the rest of
+        # the analyzer gate lives worker-side — only workers hold the
+        # tables)
+        if failure is None:
+            try:
+                self._check_view_known(stmt, sql)
+            except AnalysisError as exc:
+                failure = exc
+        if failure is not None:
             self._metrics.counter("proc.unrouted.completed").inc()
             ticket.finish(
-                "failed", statement_status(exc), self._metrics, self._worklog,
-                error=exc,
+                "failed", statement_status(failure), self._metrics,
+                self._worklog, error=failure,
             )
             return ticket
 

@@ -462,18 +462,28 @@ class _Worker:
         budget_override: Optional[Budget],
         fault_index: int,
     ) -> Dict[str, object]:
-        """One statement through the thread executor's retry loop."""
+        """One statement through the thread executor's retry loop.
+
+        The statement is parsed once: the prepared statement both runs
+        and names the reply's ``kind`` and ``pivot``.
+        """
         # lazy import: keeps worker import time (spawn latency) down and
         # avoids a module cycle through repro.serve.stress
         from repro.core.explorer import _result_rows
         from repro.query.ast import CreateCadViewStatement
-        from repro.query.parser import parse
         from repro.serve.stress import result_payload
 
         start = time.perf_counter()
+        try:
+            statement = self.dbx.prepare(sql)
+            stmt = statement.stmt
+        except ReproError:
+            # the supervisor parsed it already, so this is not expected;
+            # the text then fails in execution as it would in process
+            statement, stmt = sql, None
         run = execute_with_retries(
-            self.dbx, self.dbx.session(session), sql, token, injector,
-            budget_override, self.spec.max_retries, fault_index,
+            self.dbx, self.dbx.session(session), statement, token,
+            injector, budget_override, self.spec.max_retries, fault_index,
             time.sleep,
         )
         elapsed_ms = (time.perf_counter() - start) * 1e3
@@ -485,13 +495,9 @@ class _Worker:
         degraded = (
             error is None and report is not None and report.degraded
         )
-        pivot = None
-        try:
-            stmt = parse(sql)
-            if isinstance(stmt, CreateCadViewStatement):
-                pivot = stmt.pivot
-        except ReproError:
-            stmt = None
+        pivot = (
+            stmt.pivot if isinstance(stmt, CreateCadViewStatement) else None
+        )
         phases_ms = None
         if report is not None and report.profile is not None:
             phases_ms = {

@@ -74,14 +74,9 @@ class TestOperations:
         t = c.take(np.array([2, 0]))
         assert list(t) == ["c", "a"]
 
-    def test_mask(self):
-        c = Column.from_values(NUM, [1.0, 2.0, 3.0])
-        m = c.mask(np.array([True, False, True]))
-        assert list(m) == [1.0, 3.0]
-
     def test_distinct_values_categorical_only_occurring(self):
         c = Column.from_values(CAT, ["a", "b", "a"])
-        sub = c.mask(np.array([True, False, True]))
+        sub = c.take(np.array([0, 2]))
         assert sub.distinct_values() == ("a",)
 
     def test_distinct_values_numeric_sorted(self):

@@ -5,7 +5,8 @@ which lives only here: the k-means centroid update (per column, and
 from an encoding's count tables) against ``np.add.at``, the in-place
 k-means distances against the expression written out, cluster labeling
 against one mask per cluster, the categorical remap against
-``sorted(set(...))``, the V-optimal micro-bucket counts against
+``sorted(set(...))``, a categorical column's distinct values against
+``np.unique`` of its codes, the V-optimal micro-bucket counts against
 ``np.add.at``, and the search kernels (Algorithms 1 and 2, and the
 build's similarity graph) against the scalar cosine that re-normalized
 both vectors on every call.  A build-level case runs whole CAD View
@@ -29,7 +30,7 @@ from repro.clustering.kmeans import (
 )
 from repro.core import builder as builder_module
 from repro.core.serialize import to_dict
-from repro.dataset import AttrKind, Attribute, Schema, Table
+from repro.dataset import AttrKind, Attribute, Column, Schema, Table
 from repro.dataset.generators import generate_usedcars
 from repro.discretize import Discretizer
 from repro.discretize import histogram as histogram_module
@@ -122,6 +123,12 @@ def remap_reference(codes, ncategories):
     for new, old in enumerate(occurring):
         remap[old] = new
     return remap[codes], occurring
+
+
+def distinct_values_reference(col):
+    """A categorical column's distinct values as ``np.unique`` found them."""
+    present = np.unique(col.codes)
+    return tuple(col.categories[int(c)] for c in present if c >= 0)
 
 
 def cosine_reference(a, b):
@@ -549,6 +556,36 @@ class TestCategoricalRemap:
             col.categories[o] for o in ref_occurring
         )
         assert view.labels("c") == ("a", "d")
+
+
+# ------------------------------------------------ distinct values
+
+def coded_column(codes, ncategories):
+    return Column(
+        Attribute("c", AttrKind.CATEGORICAL),
+        np.asarray(codes, dtype=np.int32),
+        tuple(f"v{i}" for i in range(ncategories)),
+    )
+
+
+class TestDistinctValues:
+    @settings(max_examples=200, deadline=None)
+    @given(code_arrays())
+    def test_matches_unique(self, case):
+        col = coded_column(*case)
+        assert col.distinct_values() == distinct_values_reference(col)
+
+    @pytest.mark.parametrize("codes, ncategories, expected", [
+        ([3, -1, 0, 3, -1], 6, ("v0", "v3")),  # missing, unused categories
+        ([2, 2, 1], 3, ("v1", "v2")),           # code order, not first seen
+        ([], 4, ()),                            # empty
+        ([], 0, ()),                            # empty, no categories
+        ([-1, -1, -1], 3, ()),                  # all missing
+    ])
+    def test_edge_cases(self, codes, ncategories, expected):
+        col = coded_column(codes, ncategories)
+        assert col.distinct_values() == expected
+        assert distinct_values_reference(col) == expected
 
 
 # ------------------------------------------- V-optimal micro-buckets

@@ -35,9 +35,12 @@ def filter_reference(table, mask):
         raise SchemaError(
             f"mask length {mask.shape} does not match table ({len(table)},)"
         )
-    return Table(
-        table.schema, {n: table[n].mask(mask) for n in table.schema.names}
-    )
+    columns = {}
+    for name in table.schema.names:
+        col = table[name]
+        data = col.codes if col.attribute.is_categorical else col.numbers
+        columns[name] = Column(col.attribute, data[mask], col.categories)
+    return Table(table.schema, columns)
 
 
 def restrict_reference(view, mask):

@@ -27,6 +27,7 @@ from repro.robustness import FaultInjector
 from repro.robustness.faults import NO_FAULTS
 from repro.serve import ServeConfig, SessionExecutor
 from repro.serve.proc import ProcServeConfig, ProcSupervisor, WorkerSpec
+from repro.serve.stress import result_payload
 
 ROWS = 400
 TRANSPORTS = ("thread", "proc")
@@ -186,3 +187,28 @@ def test_unknown_view_error_lists_every_view(sql):
     assert "QA501" in errors["thread"]
     assert "; have ['v']" in errors["thread"]
     assert errors["proc"] == errors["thread"]
+
+
+@pytest.mark.parametrize("sql", [
+    "EXPLAIN SELECT Nope FROM data",
+    "EXPLAIN SELECT Price FROM data WHERE Price > 9 AND Price < 5",
+])
+def test_plain_explain_is_not_analyzed(sql):
+    """A plain ``EXPLAIN`` describes the plan even of a statement the
+    analyzer rejects (here QA102 and QA301): in process, and so under
+    both transports, where it answers ``ok`` with the same payload."""
+    dbx = DBExplorer(CADViewConfig(seed=7), worklog=NO_WORKLOG)
+    dbx.register("data", generate_usedcars(ROWS, seed=7))
+    plan = dbx.execute(sql)
+    payloads = {}
+    for transport in TRANSPORTS:
+        with serving(transport, MetricsRegistry(), shards=2) as server:
+            ticket = server.submit(sql, session="s")
+            assert ticket.wait(60)
+        assert (ticket.status, ticket.outcome) == ("ok", "ok"), ticket.error
+        if transport == "thread":
+            assert ticket.result == plan
+            payloads[transport] = result_payload(ticket.result)
+        else:
+            payloads[transport] = ticket.result_payload
+    assert payloads["proc"] == payloads["thread"]
