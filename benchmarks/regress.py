@@ -35,7 +35,12 @@ equality** — the counters are integers derived only from the data and
 the statements, so there is no noise to absorb and no slack to grant.
 A drifted count is a semantic change in how much work a kernel does; a
 baseline that predates the counters (no ``work`` block at all) fails
-with an explicit re-baseline instruction.
+with an explicit re-baseline instruction.  The counts (and the views
+behind them) do not depend on the BLAS kernel either: no counted
+kernel leaves a sum to BLAS, and the committed work leaves are equal
+under OpenBLAS's SkylakeX, Haswell and Sandybridge kernels
+(``OPENBLAS_CORETYPE``; DESIGN §15), so the exact gate holds on any
+runner.
 
 Exit codes: 0 verdict ok (or improvements only), 1 regression found,
 2 usage error / artifacts missing.  The verdict JSON carries every

@@ -10,10 +10,16 @@ two tuples differing in one attribute are at distance 1 regardless of
 that attribute's cardinality — without this, high-cardinality attributes
 neither gain nor lose weight, which keeps the clustering aligned with
 the labeling step (which treats attributes uniformly).
+
+An :class:`Encoding` keeps the code columns and the block layout, which
+is all :class:`~repro.clustering.kmeans.KMeans` reads; the n x d
+indicator matrix itself is built only when something reads
+:attr:`Encoding.matrix` (DESIGN §15).
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Dict, Sequence, Tuple
 
@@ -31,29 +37,51 @@ class Encoding:
 
     Attributes
     ----------
-    matrix:
-        (n_rows, total_width) float64 design matrix.
     names:
         The encoded attribute names, in block order.
     offsets:
         Start column of each attribute's block; ``offsets[name] + code``
         is the column of a specific attribute value.
     widths:
-        Number of columns per attribute (its code-domain size).
+        Number of values per attribute (its code-domain size); a block
+        spans ``max(1, width)`` columns.
     codes:
         Each attribute's code column (``-1`` = missing), in block order:
-        the matrix row ``i`` holds ``value`` at ``offsets[name] +
-        codes[b][i]`` and zero elsewhere in block ``b``.
+        row ``i`` holds ``value`` at ``offsets[name] + codes[b][i]`` and
+        zero elsewhere in block ``b``.
     value:
         The entry a present code sets: ``1 / sqrt(2)`` scaled, else 1.
     """
 
-    matrix: np.ndarray
     names: Tuple[str, ...]
     offsets: Dict[str, int]
     widths: Dict[str, int]
     codes: Tuple[np.ndarray, ...]
     value: float
+
+    @property
+    def nrows(self) -> int:
+        """The number of encoded rows."""
+        return len(self.codes[0])
+
+    @property
+    def width(self) -> int:
+        """The number of columns of :attr:`matrix`."""
+        last = self.names[-1]
+        return self.offsets[last] + max(1, self.widths[last])
+
+    @functools.cached_property
+    def matrix(self) -> np.ndarray:
+        """(nrows, width) float64 design matrix, built on first read.
+
+        A missing code leaves its block all zero.
+        """
+        X = np.zeros((self.nrows, self.width), dtype=np.float64)
+        rows = np.arange(self.nrows)
+        for name, column in zip(self.names, self.codes):
+            valid = column >= 0
+            X[rows[valid], self.offsets[name] + column[valid]] = self.value
+        return X
 
 
 def one_hot_encode(
@@ -70,18 +98,12 @@ def one_hot_encode(
     names = tuple(names)
     if not names:
         raise QueryError("cannot encode zero attributes")
-    n = len(view)
     widths = {name: view.ncodes(name) for name in names}
     offsets: Dict[str, int] = {}
     total = 0
     for name in names:
         offsets[name] = total
         total += max(1, widths[name])
-    X = np.zeros((n, total), dtype=np.float64)
     value = 1.0 / np.sqrt(2.0) if scale else 1.0
-    rows = np.arange(n)
     codes = tuple(view.codes(name) for name in names)
-    for name, column in zip(names, codes):
-        valid = column >= 0
-        X[rows[valid], offsets[name] + column[valid]] = value
-    return Encoding(X, names, offsets, widths, codes, float(value))
+    return Encoding(names, offsets, widths, codes, float(value))

@@ -2,16 +2,26 @@
 
 The paper uses Weka's SimpleKMeans "since both efficiency and quality
 are major concerns" (Sec. 3.1.2).  This is the numpy equivalent:
-k-means++ initialization, vectorized assignment via the expanded
-squared-distance identity, empty-cluster reseeding to the farthest
-points, and a relative-improvement stopping rule.  Given a one-hot
-:class:`~repro.clustering.encoding.Encoding`, the centroid sums are
-read off per-attribute count tables of its codes (DESIGN §15).
+k-means++ initialization, Lloyd iterations, empty-cluster reseeding to
+the farthest points, and a relative-improvement stopping rule.
+
+Discretized tuples repeat, so a fit clusters the *distinct* rows of its
+input, each weighted by the number of rows that carry it (DESIGN §15).
+A squared distance ``|t|^2 - 2 t.c + |c|^2`` is computed once per
+distinct row, with both sums over the columns added in column order,
+never by BLAS.  Rows are reached only through 1-D gathers: the
+k-means++ draws, the inertia, the reseeding order and the labels.  So
+a fit equals the row-by-row fit of the same kernel bit for bit, RNG
+state included, and its bits do not depend on the BLAS library.
+
+Given a one-hot :class:`~repro.clustering.encoding.Encoding`, the dot
+products gather the centres' column at each tuple's code, attribute by
+attribute, and the centroid sums are read off per-attribute count
+tables; the n x d indicator matrix is never built.
 """
 
 from __future__ import annotations
 
-import functools
 import warnings
 from dataclasses import dataclass
 from typing import Callable, Optional, Union
@@ -46,28 +56,23 @@ class KMeansResult:
 
 
 def _sq_norms(X: np.ndarray) -> np.ndarray:
-    """(n, 1) squared row norms ``|x|^2``; computed once per fit."""
+    """(n, 1) squared row norms ``|x|^2``.
+
+    Taken over C-ordered rows: einsum adds in an order that follows the
+    memory layout, so a column-major copy of the same centres would
+    give other bits.
+    """
+    X = np.ascontiguousarray(X)
     return np.einsum("ij,ij->i", X, X)[:, None]
 
 
-def _pairwise_sq_dists(
-    X: np.ndarray, C: np.ndarray, x2: np.ndarray
-) -> np.ndarray:
-    """(n, k) squared Euclidean distances via |x|^2 - 2xC' + |c|^2.
-
-    Computed in place in the product's buffer: ``(-2 xC') + |x|^2`` is
-    ``|x|^2 - 2 xC'`` bit for bit (a subtraction is the addition of the
-    negation, and addition commutes), so the distances equal the
-    expression written out, without its two extra n x k temporaries.
-    """
-    work.add("work.cluster.distance_evals", X.shape[0] * C.shape[0])
-    c2 = _sq_norms(C).T
-    d = X @ C.T
-    d *= -2.0
-    d += x2
-    d += c2
-    np.maximum(d, 0.0, out=d)
-    return d
+def _distinct(keys: np.ndarray):
+    """(rows, inverse): a row holding each distinct key, each row's key."""
+    distinct, inverse = np.unique(keys, return_inverse=True)
+    inverse = inverse.ravel()
+    rows = np.empty(len(distinct), dtype=np.intp)
+    rows[inverse] = np.arange(len(inverse))  # any holder will do
+    return rows, inverse
 
 
 def _cluster_sums(X: np.ndarray, labels: np.ndarray, k: int) -> np.ndarray:
@@ -93,33 +98,160 @@ class _CountSums:
     in row order, so a cluster's sum over ``m`` rows holding the value
     is ``s`` added ``m`` times in sequence, and adding a 0 changes
     nothing.  That is ``T[m]`` of the prefix table ``T = cumsum([0, s,
-    s, ...])``, which numpy also accumulates in order.  Per attribute
-    of block width ``w`` the sums are therefore ``T[bincount(label *
-    (w + 1) + code)]``, bit-identical to the per-column form, from one
-    n-long index per attribute and never an n x d one.  A missing code
-    counts into the spare column ``w``, which is dropped.
+    s, ...])``, which numpy also accumulates in order.  So the sums are
+    ``T`` read at the count of every (cluster, column) cell,
+    bit-identical to the per-column form.  One ``bincount`` counts all
+    the cells: an attribute of block width ``w`` owns ``w + 1`` cells
+    per cluster, a missing code counting into the spare one, which is
+    dropped.  Nothing of size n x d is built.
+
+    ``rows`` picks the rows whose codes are counted and ``weights`` how
+    many rows each stands for, so the labels of distinct tuples with
+    their multiplicities give the sums of all the rows they stand for.
+    The weighted counts are integers, exact in any order, and read the
+    same table entries.
+    """
+
+    def __init__(
+        self, encoding: Encoding, rows: np.ndarray, weights: np.ndarray
+    ):
+        steps = np.full(encoding.nrows + 1, encoding.value)
+        steps[0] = 0.0
+        self.table = np.cumsum(steps)
+        cells, keep, start = [], [], 0
+        for name, codes in zip(encoding.names, encoding.codes):
+            w = max(1, encoding.widths[name])
+            codes = codes[rows]
+            cells.append(np.where(codes >= 0, codes, w) + start)
+            keep.extend(range(start, start + w))
+            start += w + 1
+        self.cells = np.stack(cells).astype(np.intp)
+        self.grid = start          # cells per cluster
+        self.keep = np.array(keep, dtype=np.intp)
+        self.weights = np.tile(weights, len(cells))
+
+    def __call__(self, labels: np.ndarray, k: int) -> np.ndarray:
+        index = labels * self.grid + self.cells
+        counts = np.bincount(
+            index.ravel(), weights=self.weights, minlength=k * self.grid
+        ).astype(np.intp).reshape(k, self.grid)
+        return self.table[counts.take(self.keep, axis=1)]
+
+
+class _Tuples:
+    """The distinct rows of one fit's input.
+
+    ``inverse[i]`` is row ``i``'s tuple, ``rep[t]`` a row that carries
+    tuple ``t`` and ``weights[t]`` how many rows carry it.  A
+    subclass sets ``sq_norms`` (each tuple's ``|t|^2``) and gives the
+    tuples' dot products with the centres (:meth:`dots`), the vectors
+    of given rows (:meth:`rows`) and the centroid sums of a labeling of
+    the tuples (:meth:`sums`).  Both sums over the columns are added in
+    column order, the first term first.
+    """
+
+    sq_norms: np.ndarray
+
+    def __init__(self, keys: np.ndarray, width: int):
+        self.rep, self.inverse = _distinct(keys)
+        self.weights = np.bincount(self.inverse).astype(np.float64)
+        self.n = len(keys)
+        self.m = len(self.rep)
+        self.d = width
+
+    def sq_dists(self, C: np.ndarray) -> np.ndarray:
+        """(m, k) squared distances ``|t|^2 - 2 t.c + |c|^2`` to ``C``."""
+        work.add("work.cluster.distance_evals", self.m * C.shape[0])
+        d = self.dots(C)
+        d *= -2.0
+        d += self.sq_norms[:, None]
+        d += _sq_norms(C).T
+        np.maximum(d, 0.0, out=d)
+        return d
+
+
+class _MatrixTuples(_Tuples):
+    """A float matrix's distinct rows (equal bytes, one tuple)."""
+
+    def __init__(self, X: np.ndarray):
+        row = np.dtype((np.void, X.dtype.itemsize * X.shape[1]))
+        super().__init__(np.ascontiguousarray(X).view(row).ravel(),
+                         X.shape[1])
+        self.X = X
+        self.unique = X[self.rep]
+        U = self.unique
+        self.sq_norms = U[:, 0] * U[:, 0]
+        for j in range(1, self.d):
+            self.sq_norms += U[:, j] * U[:, j]
+
+    def dots(self, C: np.ndarray) -> np.ndarray:
+        U = self.unique
+        out = np.multiply.outer(U[:, 0], C[:, 0])
+        for j in range(1, self.d):
+            out += np.multiply.outer(U[:, j], C[:, j])
+        return out
+
+    def rows(self, idx: np.ndarray) -> np.ndarray:
+        return self.X[idx]
+
+    def sums(self, labels: np.ndarray, k: int) -> np.ndarray:
+        return _cluster_sums(self.X, labels[self.inverse], k)
+
+
+class _EncodedTuples(_Tuples):
+    """A one-hot encoding's distinct code tuples, read off its codes.
+
+    A row's key is its codes in a mixed radix of ``w + 1`` per attribute
+    of block width ``w``, a missing code in the spare digit ``w``.  A
+    tuple's one-hot row holds ``s`` at one column per present code, so
+    its dot product with a centre adds ``s * c`` at those columns, in
+    attribute order -- the column form's nonzero terms in its order,
+    and adding its zero terms changes nothing -- and ``|t|^2`` adds
+    ``s * s`` once per present code.
     """
 
     def __init__(self, encoding: Encoding):
-        n = encoding.matrix.shape[0]
-        steps = np.full(n + 1, encoding.value)
-        steps[0] = 0.0
-        self.width = encoding.matrix.shape[1]
-        self.table = np.cumsum(steps)
-        self.blocks = []
+        n = encoding.nrows
+        key = np.zeros(n, dtype=np.int64)
+        bound = 1
         for name, codes in zip(encoding.names, encoding.codes):
-            w = max(1, encoding.widths[name])
-            cells = np.where(codes >= 0, codes, w).astype(np.intp)
-            self.blocks.append((encoding.offsets[name], w, cells))
+            base = max(1, encoding.widths[name]) + 1
+            if bound * base >= 2**62:
+                # renumber the keys so far densely: at most n of them
+                _, key = np.unique(key, return_inverse=True)
+                bound = n
+            key = key * base + np.where(codes >= 0, codes, base - 1)
+            bound *= base
+        super().__init__(key, encoding.width)
+        self.value = encoding.value
+        offsets = np.array([encoding.offsets[name] for name in encoding.names])
+        codes = np.stack([c[self.rep] for c in encoding.codes])
+        # each tuple's column per attribute; a missing code reads the
+        # zero column past the last block
+        self.columns = np.where(codes >= 0, codes + offsets[:, None], self.d)
+        # s * s added once per present code, in order: a prefix table
+        steps = np.full(len(codes) + 1, self.value * self.value)
+        steps[0] = 0.0
+        self.sq_norms = np.cumsum(steps)[np.count_nonzero(codes >= 0, axis=0)]
+        # each tuple's one-hot row: m x d, never n x d
+        self.vectors = np.zeros((self.m, self.d + 1))
+        self.vectors[np.arange(self.m), self.columns] = self.value
+        self.count_sums = _CountSums(encoding, self.rep, self.weights)
 
-    def __call__(self, labels: np.ndarray, k: int) -> np.ndarray:
-        sums = np.empty((k, self.width))
-        for start, w, cells in self.blocks:
-            counts = np.bincount(
-                labels * (w + 1) + cells, minlength=k * (w + 1)
-            ).reshape(k, w + 1)
-            sums[:, start:start + w] = self.table[counts[:, :w]]
-        return sums
+    def dots(self, C: np.ndarray) -> np.ndarray:
+        scaled = np.zeros((self.d + 1, C.shape[0]))
+        np.multiply(C.T, self.value, out=scaled[:self.d])
+        terms = scaled[self.columns]   # (attributes, tuples, centres)
+        out = terms[0]
+        for term in terms[1:]:
+            out += term
+        return out
+
+    def rows(self, idx: np.ndarray) -> np.ndarray:
+        return self.vectors[self.inverse[idx], :self.d]
+
+    def sums(self, labels: np.ndarray, k: int) -> np.ndarray:
+        return self.count_sums(labels, k)
 
 
 class KMeans:
@@ -154,26 +286,29 @@ class KMeans:
     # -- seeding ---------------------------------------------------------
 
     def _init_centers(
-        self, X: np.ndarray, x2: np.ndarray, rng: np.random.Generator
+        self, tuples: _Tuples, rng: np.random.Generator
     ) -> np.ndarray:
-        """k-means++: spread seeds proportionally to squared distance."""
-        n = X.shape[0]
+        """k-means++: spread seeds proportionally to squared distance.
+
+        The draws run over rows, each tuple's distance gathered to the
+        rows that carry it.
+        """
+        n = tuples.n
         k = min(self.n_clusters, n)
-        centers = np.empty((k, X.shape[1]))
-        first = int(rng.integers(n))
-        centers[0] = X[first]
-        closest = _pairwise_sq_dists(X, centers[:1], x2).ravel()
+        centers = np.empty((k, tuples.d))
+        centers[0] = tuples.rows([int(rng.integers(n))])[0]
+        closest = tuples.sq_dists(centers[:1]).ravel()
         for j in range(1, k):
-            total = closest.sum()
+            row_closest = closest[tuples.inverse]
+            total = row_closest.sum()
             if total <= 0:
                 # all points coincide with chosen centers; fill uniformly
-                centers[j:] = X[rng.integers(n, size=k - j)]
+                centers[j:] = tuples.rows(rng.integers(n, size=k - j))
                 break
-            probs = closest / total
-            idx = int(rng.choice(n, p=probs))
-            centers[j] = X[idx]
+            idx = int(rng.choice(n, p=row_closest / total))
+            centers[j] = tuples.rows([idx])[0]
             closest = np.minimum(
-                closest, _pairwise_sq_dists(X, centers[j:j + 1], x2).ravel()
+                closest, tuples.sq_dists(centers[j:j + 1]).ravel()
             )
         return centers
 
@@ -188,26 +323,26 @@ class KMeans:
     ) -> KMeansResult:
         """Cluster the rows of ``X``, a matrix or a one-hot encoding.
 
-        An :class:`Encoding` clusters its matrix, with the centroid sums
-        taken from its codes (:class:`_CountSums`); the result is
-        bit-identical to fitting ``X.matrix``.  If there are fewer rows
-        than clusters, every row becomes its own cluster (k is clamped,
-        with a warning — tiny pivot partitions are routine, not an
-        error).  ``checkpoint`` is called once per
-        Lloyd iteration; a budgeted caller passes a deadline check that
-        raises :class:`~repro.errors.BudgetExceededError`.  A ``tracer``
-        gains a ``kmeans`` span recording iterations, empty-cluster
-        reseeds and convergence.
+        The fit runs over ``X``'s distinct rows and equals the
+        row-by-row fit bit for bit; fitting an :class:`Encoding` equals
+        fitting its matrix.  If there are fewer rows than clusters,
+        every row becomes its own cluster (k is clamped, with a warning
+        — tiny pivot partitions are routine, not an error).
+        ``checkpoint`` is called once per Lloyd iteration; a budgeted
+        caller passes a deadline check that raises
+        :class:`~repro.errors.BudgetExceededError`.  A ``tracer`` gains
+        a ``kmeans`` span recording iterations, empty-cluster reseeds
+        and convergence.
         """
         if isinstance(X, Encoding):
-            cluster_sums = _CountSums(X)
-            X = X.matrix
+            n, d = X.nrows, X.width
         else:
             X = np.asarray(X, dtype=np.float64)
-            cluster_sums = functools.partial(_cluster_sums, X)
-        if X.ndim != 2:
-            raise QueryError(f"X must be 2-D, got shape {X.shape}")
-        n = X.shape[0]
+            if X.ndim != 2 or X.shape[1] == 0:
+                raise QueryError(
+                    f"X must be 2-D with columns, got shape {X.shape}"
+                )
+            n, d = X.shape
         if n == 0:
             raise QueryError("cannot cluster zero rows")
         rng = rng or np.random.default_rng(self.seed)
@@ -221,10 +356,14 @@ class KMeans:
         k = min(self.n_clusters, n)
         tracer = tracer or NULL_TRACER
 
-        with tracer.span("kmeans", n=n, d=int(X.shape[1]), k=k) as span:
-            x2 = _sq_norms(X)
-            centers = self._init_centers(X, x2, rng)
-            labels = np.zeros(n, dtype=np.int32)
+        with tracer.span("kmeans", n=n, d=d, k=k) as span:
+            tuples = (
+                _EncodedTuples(X) if isinstance(X, Encoding)
+                else _MatrixTuples(X)
+            )
+            span.set_attr("tuples", tuples.m)
+            at = np.arange(tuples.m)
+            centers = self._init_centers(tuples, rng)
             prev_inertia = np.inf
             converged = False
             n_iter = 0
@@ -233,22 +372,23 @@ class KMeans:
                     checkpoint()
                 span.inc("iterations")
                 work.add("work.cluster.iterations")
-                dists = _pairwise_sq_dists(X, centers, x2)
-                labels = dists.argmin(axis=1).astype(np.int32)
-                inertia = float(dists[np.arange(n), labels].sum())
+                dists = tuples.sq_dists(centers)
+                labels = dists.argmin(axis=1)
+                nearest = dists[at, labels][tuples.inverse]
+                inertia = float(nearest.sum())
 
                 # recompute centroids; reseed empties to farthest points
-                counts = np.bincount(labels, minlength=k).astype(np.float64)
-                sums = cluster_sums(labels, k)
+                counts = np.bincount(
+                    labels, weights=tuples.weights, minlength=k
+                )
+                sums = tuples.sums(labels, k)
                 empty = counts == 0
                 if empty.any():
                     span.inc("reseeds", int(empty.sum()))
                     work.add("work.cluster.reseeds", int(empty.sum()))
-                    far = np.argsort(dists[np.arange(n), labels])[::-1]
-                    replacements = iter(far)
-                    for j in np.flatnonzero(empty):
-                        idx = next(replacements)
-                        sums[j] = X[idx]
+                    far = np.argsort(nearest)[::-1]
+                    for j, idx in zip(np.flatnonzero(empty), far):
+                        sums[j] = tuples.rows([idx])[0]
                         counts[j] = 1.0
                 centers = sums / counts[:, None]
 
@@ -261,9 +401,11 @@ class KMeans:
                 prev_inertia = inertia
 
             # final assignment against the final centers
-            dists = _pairwise_sq_dists(X, centers, x2)
-            labels = dists.argmin(axis=1).astype(np.int32)
-            inertia = float(dists[np.arange(n), labels].sum())
+            dists = tuples.sq_dists(centers)
+            labels = dists.argmin(axis=1)
+            inertia = float(dists[at, labels][tuples.inverse].sum())
             span.set_attr("converged", converged)
             span.set_attr("inertia", round(inertia, 6))
-        return KMeansResult(labels, centers, inertia, n_iter)
+        return KMeansResult(
+            labels[tuples.inverse].astype(np.int32), centers, inertia, n_iter
+        )

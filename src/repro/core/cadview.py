@@ -19,6 +19,7 @@ from repro.iunits.iunit import IUnit
 from repro.iunits.similarity import (
     default_tau,
     ranked_list_distance,
+    ranked_list_distances,
     similarities,
 )
 
@@ -235,12 +236,12 @@ class CADView:
         A new view whose rows start with ``preferred`` and continue in
         increasing Algorithm-2 distance (decreasing similarity).
         """
-        self.row(preferred)  # validate
+        tau = self.tau if tau is None else tau
         others = [v for v in self.pivot_values if v != preferred]
-        others.sort(
-            key=lambda v: (self.value_distance(preferred, v, tau), v)
+        distances = ranked_list_distances(
+            self.row(preferred), [self.row(v) for v in others], tau
         )
-        order = [preferred] + others
+        order = [preferred] + [v for _, v in sorted(zip(distances, others))]
         return CADView(
             self.name,
             self.pivot_attribute,

@@ -45,7 +45,7 @@ from repro.robustness import (
     FaultInjector,
 )
 from repro.serve.registry import ViewRegistry
-from repro.iunits.iunit import IUnit
+from repro.iunits.iunit import IUnit, row_dot
 from repro.query.ast import (
     CreateCadViewStatement,
     DescribeStatement,
@@ -218,9 +218,14 @@ class DBExplorer:
         :class:`~repro.errors.AnalysisError`, and a serving gate can
         fail the statement before it takes a thread.
         """
-        return self._prepared(parse(sql), sql)
+        return self.prepare_parsed(parse(sql), sql)
 
-    def _prepared(self, stmt: Statement, sql: str) -> Prepared:
+    def prepare_parsed(self, stmt: Statement, sql: str) -> Prepared:
+        """:meth:`prepare` of a statement already parsed from ``sql``.
+
+        A serving gate parses before admission, to know the statement's
+        kind, and analyzes only what it admits.
+        """
         # the snapshots are taken before the analysis reads the
         # catalogs: a change landing mid-analysis leaves them stale
         views, tables = self._views.snapshot(), self.engine.snapshot()
@@ -322,7 +327,7 @@ class DBExplorer:
             and prepared.tables is self.engine.snapshot()
         ):
             # SQL text, or a catalog moved since it was prepared
-            prepared = self._prepared(stmt, sql)
+            prepared = self.prepare_parsed(stmt, sql)
         report = prepared.report
         if report is not None:
             if not report.ok:
@@ -662,7 +667,7 @@ def _sort_iunits(cad: CADView, keys: Tuple[OrderKey, ...]) -> CADView:
             dist = np.asarray(unit.distributions[key.attribute], dtype=float)
             total = dist.sum()
             mean = (
-                float(np.dot(dist, midpoint_cache[key.attribute]) / total)
+                float(row_dot(dist, midpoint_cache[key.attribute]) / total)
                 if total else float("inf")
             )
             parts.append(mean if key.ascending else -mean)

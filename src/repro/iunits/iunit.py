@@ -19,16 +19,27 @@ import numpy as np
 
 from repro.errors import CADViewError
 
-__all__ = ["IUnit", "unit_vector"]
+__all__ = ["IUnit", "unit_vector", "row_dot"]
+
+
+def row_dot(a, b) -> np.ndarray:
+    """Dot products over the last axis, by numpy's own add-reduction.
+
+    Each product is summed over its contiguous last axis in the order
+    numpy's pairwise sum fixes, never BLAS's, so a pair gives the same
+    bits alone, in a batch against many, or in a Gram block, whichever
+    BLAS kernel is loaded (DESIGN §18).
+    """
+    return np.add.reduce(a * b, axis=-1)
 
 
 def unit_vector(counts) -> np.ndarray:
     """``counts`` scaled to unit length; an all-zero vector stays zero.
 
-    The vector is pre-scaled by its max magnitude first, because
-    ``norm()`` squares entries and underflows to zero on subnormal
-    counts.  The ops run in this order, ``(a / max|a|) / norm``, so the
-    dot product of two unit vectors is the per-attribute cosine of
+    The vector is pre-scaled by its max magnitude first, because the
+    norm squares entries and underflows to zero on subnormal counts.
+    The ops run in this order, ``(a / max|a|) / norm``, so the dot
+    product of two unit vectors is the per-attribute cosine of
     Algorithm 1 exactly (DESIGN §18).
     """
     a = np.asarray(counts, dtype=float)
@@ -36,7 +47,7 @@ def unit_vector(counts) -> np.ndarray:
     if scale == 0:
         return np.zeros_like(a)
     a = a / scale
-    return a / np.linalg.norm(a)
+    return a / np.sqrt(row_dot(a, a))
 
 
 @dataclass(frozen=True)

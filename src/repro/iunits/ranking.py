@@ -15,7 +15,7 @@ import numpy as np
 
 from repro.discretize.discretizer import DiscretizedView
 from repro.errors import CADViewError
-from repro.iunits.iunit import IUnit
+from repro.iunits.iunit import IUnit, row_dot
 
 __all__ = [
     "PreferenceFunction",
@@ -84,7 +84,7 @@ class AttributePreference(PreferenceFunction):
         total = dist.sum()
         if total == 0:
             return -np.inf  # never prefer a cluster with no data here
-        mean = float(np.dot(dist, self._midpoints) / total)
+        mean = float(row_dot(dist, self._midpoints) / total)
         return -mean if self.ascending else mean
 
 

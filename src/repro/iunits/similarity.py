@@ -13,7 +13,9 @@
 
 All three read the unit vectors each :class:`IUnit` computes once when
 it is made (:func:`~repro.iunits.iunit.unit_vector`), so a search
-normalizes nothing (DESIGN §18).
+normalizes nothing, and all three score their pairs in one batch per
+Compare Attribute with :func:`~repro.iunits.iunit.row_dot`, which gives
+a pair the same bits alone or in any batch (DESIGN §18).
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from typing import List, Sequence
 import numpy as np
 
 from repro.errors import CADViewError
-from repro.iunits.iunit import IUnit
+from repro.iunits.iunit import IUnit, row_dot
 from repro.obs import work
 
 __all__ = [
@@ -32,6 +34,7 @@ __all__ = [
     "similarity_matrix",
     "default_tau",
     "ranked_list_distance",
+    "ranked_list_distances",
 ]
 
 
@@ -43,13 +46,44 @@ def _check_same_attributes(x: IUnit, y: IUnit) -> None:
         )
 
 
+def _stack(units: Sequence[IUnit], attribute: str) -> np.ndarray:
+    rows = [u.unit_vectors[attribute] for u in units]
+    shapes = {r.shape for r in rows}
+    if len(shapes) > 1:
+        raise CADViewError(f"cosine: shape mismatch {sorted(shapes)}")
+    return np.concatenate(rows).reshape((len(rows),) + shapes.pop())
+
+
+def _similarity_block(
+    xs: Sequence[IUnit], ys: Sequence[IUnit]
+) -> np.ndarray:
+    """Algorithm 1 for every ``(xs[i], ys[j])`` pair: (|xs|, |ys|) totals.
+
+    Per Compare Attribute, one :func:`row_dot` over the stacked unit
+    vectors gives every pair's cosine; each is clipped to ``[0, 1]``
+    (NaN to 0, as ``min(1, max(0, c))`` does) and the attributes are
+    added in order.
+    """
+    total = np.zeros((len(xs), len(ys)))
+    if not xs or not ys:
+        return total
+    units = [*xs, *ys]
+    for unit in units[1:]:
+        _check_same_attributes(xs[0], unit)
+    for d in xs[0].compare_attributes:
+        stacked = _stack(units, d)
+        cos = row_dot(stacked[:len(xs), None, :], stacked[None, len(xs):, :])
+        total += np.minimum(np.fmax(cos, 0.0), 1.0)
+    return total
+
+
 def iunit_similarity(x: IUnit, y: IUnit) -> float:
     """Algorithm 1 (IUnit Pair Similarity).
 
     Sums per-dimension cosine similarity of the value-frequency vectors
     over the shared Compare Attributes ``I``; the maximum is ``|I|``
     (the paper: "for five Compare Attributes the max similarity score
-    can be 5.0").  Each cosine is one 1-D dot product of the two unit
+    can be 5.0").  Each cosine is the :func:`row_dot` of the two unit
     vectors, clipped to ``[0, 1]``; an all-zero distribution is similar
     to nothing.
     """
@@ -59,23 +93,10 @@ def iunit_similarity(x: IUnit, y: IUnit) -> float:
 def similarities(x: IUnit, others: Sequence[IUnit]) -> List[float]:
     """Algorithm 1 from ``x`` to each of ``others``, in order.
 
-    Each value is :func:`iunit_similarity` of its pair; the pairs are
-    counted once, when all are scored.
+    Each value is :func:`iunit_similarity` of its pair, bit for bit;
+    the pairs are scored in one batch and counted once.
     """
-    ux = x.unit_vectors
-    out = []
-    for y in others:
-        _check_same_attributes(x, y)
-        uy = y.unit_vectors
-        total = 0.0
-        for d in x.compare_attributes:
-            a, b = ux[d], uy[d]
-            if a.shape != b.shape:
-                raise CADViewError(
-                    f"cosine: shape mismatch {a.shape} vs {b.shape}"
-                )
-            total += min(1.0, max(0.0, float(np.dot(a, b))))
-        out.append(total)
+    out = _similarity_block([x], others)[0].tolist()
     work.add("work.diversify.similarity_pairs", len(out))
     return out
 
@@ -83,27 +104,14 @@ def similarities(x: IUnit, others: Sequence[IUnit]) -> List[float]:
 def similarity_matrix(iunits: Sequence[IUnit]) -> np.ndarray:
     """Algorithm 1 for every pair at once: (n, n) similarity totals.
 
-    Per Compare Attribute, the IUnits' unit vectors stack into an
-    (n, w) matrix; one Gram matrix holds every pair's cosine, which is
-    clipped to ``[0, 1]`` and summed over the attributes.  Off-diagonal
-    entries equal :func:`iunit_similarity` up to rounding (the Gram
-    product sums in a different order), and the work counter gains the
-    same ``n(n-1)/2`` pairs the pairwise loop would add.
+    Off-diagonal entries equal :func:`iunit_similarity` bit for bit,
+    and the work counter gains the same ``n(n-1)/2`` pairs the pairwise
+    loop would add.
     """
     n = len(iunits)
-    for unit in iunits[1:]:
-        _check_same_attributes(iunits[0], unit)
-    total = np.zeros((n, n))
-    if n == 0:
-        return total
-    work.add("work.diversify.similarity_pairs", n * (n - 1) // 2)
-    for d in iunits[0].compare_attributes:
-        rows = [u.unit_vectors[d] for u in iunits]
-        shapes = {r.shape for r in rows}
-        if len(shapes) > 1:
-            raise CADViewError(f"cosine: shape mismatch {sorted(shapes)}")
-        unit = np.stack(rows)
-        total += np.clip(unit @ unit.T, 0.0, 1.0)
+    total = _similarity_block(iunits, iunits)
+    if n:
+        work.add("work.diversify.similarity_pairs", n * (n - 1) // 2)
     return total
 
 
@@ -142,12 +150,32 @@ def ranked_list_distance(
     charge rank ``len(ty) + 1``.  Sum the absolute rank differences,
     then do the same from ``ty`` to ``tx``.  Lower = more similar; 0 for
     identical lists.  Algorithm 1 is symmetric to the bit, so each pair
-    is scored once and both directions read the same block.
+    is scored once, all in one block, and both directions read it.
     """
-    if not tx and not ty:
-        return 0.0
-    similar: List[List[bool]] = [
-        [sim >= tau for sim in similarities(x, ty)] for x in tx
-    ]
-    by_y = [[row[j] for row in similar] for j in range(len(ty))]
-    return _rank_costs(similar, len(ty)) + _rank_costs(by_y, len(tx))
+    return ranked_list_distances(tx, (ty,), tau)[0]
+
+
+def ranked_list_distances(
+    tx: Sequence[IUnit],
+    tys: Sequence[Sequence[IUnit]],
+    tau: float,
+) -> List[float]:
+    """:func:`ranked_list_distance` from ``tx`` to each list of ``tys``.
+
+    Every pair of ``tx`` with an IUnit of any list is scored in one
+    block (``REORDER ROWS`` compares one row with all the others), and
+    each list reads its columns of it.
+    """
+    columns = [y for ty in tys for y in ty]
+    block = _similarity_block(tx, columns) >= tau
+    work.add("work.diversify.similarity_pairs", block.size)
+    out = []
+    start = 0
+    for ty in tys:
+        similar = block[:, start:start + len(ty)]
+        start += len(ty)
+        out.append(
+            _rank_costs(similar.tolist(), len(ty))
+            + _rank_costs(similar.T.tolist(), len(tx))
+        )
+    return out

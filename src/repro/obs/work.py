@@ -20,8 +20,9 @@ counter                            one unit of work
 ``work.facets.rows_scanned``       row visited by the faceted engine
 ``work.features.contingency_cells``  contingency-table cell materialized
 ``work.features.chi2_cells``       contingency cell scored by chi-square
-``work.cluster.distance_evals``    point-center distance (or mismatch
-                                   count for k-modes) evaluated
+``work.cluster.distance_evals``    k-means distance from a distinct
+                                   tuple to a centre (or a k-modes
+                                   row-mode mismatch count) evaluated
 ``work.cluster.iterations``        clustering iteration completed
 ``work.cluster.reseeds``           empty cluster reseeded
 ``work.diversify.astar_expanded``  A* node popped from the frontier

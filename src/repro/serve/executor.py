@@ -11,12 +11,14 @@ unboundedly — under overload it says so, cheaply, at the door.
 What happens to an admitted statement:
 
 1. The **analyzer gate** runs on the caller thread at submit: it
-   prepares the statement (:meth:`~repro.core.explorer.DBExplorer.
-   prepare`, one parse and one analysis), so a statement the parser or
-   the semantic analyzer rejects never costs a pool thread.  The pool
-   thread executes that prepared statement without parsing it again,
-   and analyzes it again only if the view or table catalog changed
-   while it waited, so execution stays the source of truth.
+   parses the statement before admission, so a refused ticket still
+   knows its kind, and analyzes only what admission let in
+   (:meth:`~repro.core.explorer.DBExplorer.prepare_parsed`), so a
+   statement the parser or the semantic analyzer rejects never costs a
+   pool thread and a refused one costs no analysis.  The pool thread
+   executes that prepared statement without parsing it again, and
+   analyzes it again only if the view or table catalog changed while
+   it waited, so execution stays the source of truth.
 2. A **worker thread** picks the ticket up.  If a per-dataset
    :class:`~repro.serve.breaker.CircuitBreaker` is open, the build is
    short-circuited onto the PR-1 degradation ladder: it runs under the
@@ -71,9 +73,7 @@ from repro.errors import (
 )
 from repro.obs.metrics import MetricsRegistry, registry
 from repro.obs.worklog import WorkLogWriter, statement_kind, statement_status
-# unused here (the explorer prepares statements), but the traced
-# benchmark run (perfbench/tracing.py) wraps ``parse`` by this name
-from repro.query.parser import parse  # noqa: F401
+from repro.query.parser import parse
 from repro.robustness.budget import Budget
 from repro.robustness.cancel import CancelToken
 from repro.robustness.faults import NO_FAULTS, FaultInjector
@@ -565,13 +565,14 @@ class SessionExecutor:
 
         Raises :class:`OverloadedError` on a full queue (with a
         Retry-After estimate) and :class:`ServeError` after
-        :meth:`close`.  The statement is prepared on the caller thread
-        (one parse, one analysis), before admission so that a rejected
-        ticket still knows its kind.  Statements the parser or analyzer
-        reject are *admitted then failed immediately* there — they get
-        a ticket and a worklog record but never cost a pool thread.  An
-        admitted statement runs as prepared, re-analyzed only if a
-        catalog changed while it was queued.
+        :meth:`close`.  The statement is parsed on the caller thread
+        before admission, so that a rejected ticket still knows its
+        kind, and analyzed there once admitted, so that a rejected one
+        pays no analysis.  Statements the parser or analyzer reject are
+        *admitted then failed immediately* there — they get a ticket
+        and a worklog record but never cost a pool thread.  An admitted
+        statement runs as prepared, re-analyzed only if a catalog
+        changed while it was queued.
         """
         with self._lock:
             if self._closed:
@@ -584,18 +585,20 @@ class SessionExecutor:
         )
         failure: Optional[ReproError] = None
         try:
-            prepared = self.dbx.prepare(sql)
+            stmt = parse(sql)
         except ParseError as exc:
             failure = exc
         else:
-            ticket.kind = statement_kind(prepared.stmt)
-            ticket.dataset = breaker_key(prepared.stmt)
-            if not prepared.ok:
-                failure = AnalysisError(prepared.report)
+            ticket.kind = statement_kind(stmt)
+            ticket.dataset = breaker_key(stmt)
         admit(
             ticket, self._reserve, self.config.queue_limit, self._metrics,
             self.dbx.worklog,
         )
+        if failure is None:
+            prepared = self.dbx.prepare_parsed(stmt, sql)
+            if not prepared.ok:
+                failure = AnalysisError(prepared.report)
         if failure is not None:
             # the analyzer gate: a statement that can never execute
             # fails here without consuming a pool thread

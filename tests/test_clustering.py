@@ -87,6 +87,10 @@ class TestKMeans:
         with pytest.raises(QueryError):
             KMeans(2).fit(np.array([1.0, 2.0]))
 
+    def test_no_columns_raises(self):
+        with pytest.raises(QueryError, match="columns"):
+            KMeans(2).fit(np.empty((5, 0)))
+
     def test_bad_k_raises(self):
         with pytest.raises(QueryError):
             KMeans(0)

@@ -2,20 +2,23 @@
 
 Each kernel is checked against the straightforward form it replaced,
 which lives only here: the k-means centroid update (per column, and
-from an encoding's count tables) against ``np.add.at``, the in-place
-k-means distances against the expression written out, cluster labeling
-against one mask per cluster, the categorical remap against
-``sorted(set(...))``, a categorical column's distinct values against
-``np.unique`` of its codes, the V-optimal micro-bucket counts against
-``np.add.at``, and the search kernels (Algorithms 1 and 2, and the
-build's similarity graph) against the scalar cosine that re-normalized
-both vectors on every call.  A build-level case runs whole CAD View
-builds on the held forms and on the shipped ones.
+from an encoding's count tables) against ``np.add.at``, the k-means fit
+over distinct tuples against a plain row-by-row fit of the same
+fixed-order distance kernel (bit for bit) and against the BLAS distance
+product it replaced (within a tolerance), cluster labeling against one
+mask per cluster, the categorical remap against ``sorted(set(...))``, a
+categorical column's distinct values against ``np.unique`` of its
+codes, the V-optimal micro-bucket counts against ``np.add.at``, and the
+search kernels (Algorithms 1 and 2, and the build's similarity graph)
+against the scalar cosine that re-normalized both vectors on every
+call.  A build-level case runs whole CAD View builds on the held forms
+and on the shipped ones.
 """
 
 from __future__ import annotations
 
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -23,10 +26,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import CADViewBuilder, CADViewConfig, DBExplorer
-from repro.clustering import KMeans, one_hot_encode
+from repro.clustering import Encoding, KMeans, one_hot_encode
 from repro.clustering import kmeans as kmeans_module
 from repro.clustering.kmeans import (
-    _CountSums, _cluster_sums, _pairwise_sq_dists, _sq_norms,
+    KMeansResult, _CountSums, _cluster_sums, _MatrixTuples, _sq_norms,
+    _Tuples,
 )
 from repro.core import builder as builder_module
 from repro.core.serialize import to_dict
@@ -41,8 +45,9 @@ from repro.iunits import (
     ranked_list_distance, representative_values, similarity_graph,
 )
 from repro.iunits import iunit as iunit_module
-from repro.iunits.similarity import similarity_matrix
+from repro.iunits.similarity import ranked_list_distances, similarity_matrix
 from repro.obs import work
+from repro.obs.tracer import Tracer
 
 # ------------------------------------------------------ references
 
@@ -54,18 +59,64 @@ def sums_reference(X, labels, k):
     return sums
 
 
-def count_sums_reference(encoding):
-    """Centroid sums of an encoding, added column by column."""
-    return lambda labels, k: sums_reference(encoding.matrix, labels, k)
+def fixed_order_distances(X, C):
+    """k-means distances of every row: both column sums added in order."""
+    dot = np.multiply.outer(X[:, 0], C[:, 0])
+    x2 = X[:, 0] * X[:, 0]
+    for j in range(1, X.shape[1]):
+        dot = dot + np.multiply.outer(X[:, j], C[:, j])
+        x2 = x2 + X[:, j] * X[:, j]
+    return np.maximum(x2[:, None] - 2.0 * dot + _sq_norms(C).T, 0.0)
 
 
-def distances_reference(X, C, x2):
-    """The k-means distances as the expression written out."""
-    work.add("work.cluster.distance_evals", X.shape[0] * C.shape[0])
-    c2 = _sq_norms(C).T
-    d = x2 - 2.0 * (X @ C.T) + c2
-    np.maximum(d, 0.0, out=d)
-    return d
+def blas_distances(X, C):
+    """The k-means distances as the BLAS product computed them."""
+    d = _sq_norms(X) - 2.0 * (X @ C.T) + _sq_norms(C).T
+    return np.maximum(d, 0.0)
+
+
+def kmeans_reference(km, X, rng=None):
+    """Lloyd's k-means with k-means++ seeding, row by row.
+
+    Every row's distances are computed (no distinct tuples), with the
+    fixed-order kernel, and the centroids are summed by ``np.add.at``.
+    """
+    X = X.matrix if isinstance(X, Encoding) else np.asarray(X, dtype=float)
+    n, d = X.shape
+    k = min(km.n_clusters, n)
+    rng = rng or np.random.default_rng(km.seed)
+    centers = np.empty((k, d))
+    centers[0] = X[int(rng.integers(n))]
+    closest = fixed_order_distances(X, centers[:1])[:, 0]
+    for j in range(1, k):
+        total = closest.sum()
+        if total <= 0:
+            centers[j:] = X[rng.integers(n, size=k - j)]
+            break
+        centers[j] = X[int(rng.choice(n, p=closest / total))]
+        closest = np.minimum(
+            closest, fixed_order_distances(X, centers[j:j + 1])[:, 0]
+        )
+    prev, n_iter = np.inf, 0
+    for n_iter in range(1, km.max_iter + 1):
+        dists = fixed_order_distances(X, centers)
+        labels = dists.argmin(axis=1)
+        nearest = dists[np.arange(n), labels]
+        inertia = float(nearest.sum())
+        counts = np.bincount(labels, minlength=k).astype(float)
+        sums = sums_reference(X, labels, k)
+        far = np.argsort(nearest)[::-1]
+        for j, idx in zip(np.flatnonzero(counts == 0), far):
+            sums[j] = X[idx]
+            counts[j] = 1.0
+        centers = sums / counts[:, None]
+        if np.isfinite(prev) and prev - inertia <= km.tol * max(prev, 1e-12):
+            break
+        prev = inertia
+    dists = fixed_order_distances(X, centers)
+    labels = dists.argmin(axis=1)
+    inertia = float(dists[np.arange(n), labels].sum())
+    return KMeansResult(labels.astype(np.int32), centers, inertia, n_iter)
 
 
 def label_cluster_reference(view, member_mask, pivot_attribute,
@@ -132,7 +183,12 @@ def distinct_values_reference(col):
 
 
 def cosine_reference(a, b):
-    """The scalar cosine: both vectors re-normalized on every call."""
+    """The scalar cosine: both vectors re-normalized on every call.
+
+    Its sums are numpy's 1-D add-reduction, the order the search
+    kernels fix (the BLAS ``np.dot`` it once called adds in an order
+    the loaded BLAS kernel picks).
+    """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     if a.shape != b.shape:
@@ -144,10 +200,10 @@ def cosine_reference(a, b):
         return 0.0
     a = a / ma
     b = b / mb
-    na, nb = np.linalg.norm(a), np.linalg.norm(b)
+    na, nb = np.sqrt(np.add.reduce(a * a)), np.sqrt(np.add.reduce(b * b))
     if na == 0 or nb == 0:
         return 0.0
-    value = float(np.dot(a / na, b / nb))
+    value = float(np.add.reduce((a / na) * (b / nb)))
     return min(1.0, max(0.0, value))
 
 
@@ -198,13 +254,16 @@ def unit_rows_reference(m):
 
 
 def matrix_reference(units):
-    """The Gram form over rows normalized from the raw distributions."""
+    """Rows normalized all at once, each pair's cosine taken alone."""
     n = len(units)
     total = np.zeros((n, n))
     for d in (units[0].compare_attributes if units else ()):
         rows = [np.asarray(u.distributions[d], dtype=float) for u in units]
         unit = unit_rows_reference(np.stack(rows))
-        total += np.clip(unit @ unit.T, 0.0, 1.0)
+        for i in range(n):
+            for j in range(n):
+                cos = float(np.add.reduce(unit[i] * unit[j]))
+                total[i, j] += min(1.0, max(0.0, cos))
     return total
 
 
@@ -335,14 +394,33 @@ def assert_same_fit(new, old):
     assert new.n_iter == old.n_iter
 
 
+def row_count_sums(encoding):
+    """The count-table sums of every row, each standing for itself."""
+    n = encoding.nrows
+    return _CountSums(encoding, np.arange(n), np.ones(n))
+
+
 class TestCountTableSums:
     """Centroid sums of an encoding, read off its codes' count tables."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(coded_design(), st.data())
+    def test_weighted_tuples_match_add_at_over_rows(self, case, data):
+        encoding, _, k = case
+        tuples = kmeans_module._EncodedTuples(encoding)
+        labels = np.array(data.draw(st.lists(
+            st.integers(0, k - 1), min_size=tuples.m, max_size=tuples.m,
+        )))
+        assert np.array_equal(
+            tuples.sums(labels, k),
+            sums_reference(encoding.matrix, labels[tuples.inverse], k),
+        )
 
     @settings(max_examples=300, deadline=None)
     @given(coded_design())
     def test_matches_add_at(self, case):
         encoding, labels, k = case
-        sums = _CountSums(encoding)(labels, k)
+        sums = row_count_sums(encoding)(labels, k)
         assert np.array_equal(sums, sums_reference(encoding.matrix, labels, k))
 
     def test_missing_codes_and_empty_clusters(self):
@@ -350,7 +428,7 @@ class TestCountTableSums:
                  "b": (np.full(5, -1, dtype=np.int32), 0)}
         encoding = one_hot_encode(code_view(codes, 5), ["a", "b"])
         labels = np.array([3, 3, 0, 3, 1], dtype=np.int32)
-        sums = _CountSums(encoding)(labels, 6)
+        sums = row_count_sums(encoding)(labels, 6)
         assert np.array_equal(sums, sums_reference(encoding.matrix, labels, 6))
         assert not sums[[2, 4, 5]].any()
         assert not sums[:, 3].any()   # the empty domain's one zero column
@@ -363,7 +441,7 @@ class TestCountTableSums:
                  "b": ((np.arange(n) % 2).astype(np.int32), 2)}
         encoding = one_hot_encode(code_view(codes, n), ["a", "b"])
         labels = np.zeros(n, dtype=np.int32)
-        sums = _CountSums(encoding)(labels, 1)
+        sums = row_count_sums(encoding)(labels, 1)
         assert np.array_equal(sums, sums_reference(encoding.matrix, labels, 1))
         assert np.array_equal(sums, _cluster_sums(encoding.matrix, labels, 1))
 
@@ -392,12 +470,176 @@ class TestDistances:
     @settings(max_examples=200, deadline=None)
     @given(design(), st.integers(1, 5), st.integers(0, 2**16))
     def test_in_place_matches_expression(self, case, k, seed):
+        # per distinct row, in its buffer, equal to every row's
+        # distances written out
         X, _, _ = case
         rng = np.random.default_rng(seed)
         C = X[rng.integers(len(X), size=k)] + rng.normal(size=(k, X.shape[1]))
-        x2 = _sq_norms(X)
-        got = _pairwise_sq_dists(X, C, x2)
-        assert got.tobytes() == distances_reference(X, C, x2).tobytes()
+        tuples = _MatrixTuples(X)
+        got = tuples.sq_dists(C)[tuples.inverse]
+        assert got.tobytes() == fixed_order_distances(X, C).tobytes()
+
+    @settings(max_examples=200, deadline=None)
+    @given(design(), st.integers(1, 5), st.integers(0, 2**16))
+    def test_blas_product_within_tolerance(self, case, k, seed):
+        X, _, _ = case
+        rng = np.random.default_rng(seed)
+        C = X[rng.integers(len(X), size=k)] + rng.normal(size=(k, X.shape[1]))
+        tuples = _MatrixTuples(X)
+        got = tuples.sq_dists(C)[tuples.inverse]
+        held = blas_distances(X, C)
+        scale = _sq_norms(X) + _sq_norms(C).T
+        assert np.all(np.abs(got - held) <= 1e-12 * scale)
+        if k > 1:
+            ordered = np.sort(held, axis=1)
+            untied = ordered[:, 1] - ordered[:, 0] > 1e-9 * (1.0 + scale.max(1))
+            assert np.array_equal(
+                got.argmin(axis=1)[untied], held.argmin(axis=1)[untied]
+            )
+
+
+    def test_centre_norms_ignore_memory_layout(self):
+        # einsum adds in an order that follows the layout; the count
+        # sums hand back column-major blocks unless told otherwise
+        C = np.random.default_rng(0).random((4, 37))
+        assert _sq_norms(np.asfortranarray(C)).tobytes() == (
+            _sq_norms(C).tobytes()
+        )
+        codes = {"a": ((np.arange(9) % 3).astype(np.int32), 3),
+                 "b": ((np.arange(9) % 2).astype(np.int32), 2)}
+        encoding = one_hot_encode(code_view(codes, 9), ["a", "b"])
+        labels = (np.arange(9) % 4).astype(np.int32)
+        assert row_count_sums(encoding)(labels, 4).flags["C_CONTIGUOUS"]
+
+
+def blas_sq_dists(self, C):
+    """:meth:`_Tuples.sq_dists` as the BLAS product, on matrix tuples."""
+    work.add("work.cluster.distance_evals", self.m * C.shape[0])
+    return blas_distances(self.unique, C)
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_fit_matches_the_blas_fit_on_separated_blobs(seed):
+    # continuous data leaves no near ties, so the BLAS order of
+    # addition moves only the last bits of the centres
+    rng = np.random.default_rng(seed)
+    means = rng.normal(scale=6.0, size=(4, 3))
+    X = np.concatenate([m + rng.normal(size=(40, 3)) for m in means])
+    new = KMeans(4, seed=seed).fit(X)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_Tuples, "sq_dists", blas_sq_dists)
+        held = KMeans(4, seed=seed).fit(X)
+    assert np.array_equal(new.labels, held.labels)
+    assert new.n_iter == held.n_iter
+    assert np.allclose(new.centers, held.centers, rtol=0.0, atol=1e-12)
+
+
+# ---------------------------------------- k-means over distinct tuples
+
+@st.composite
+def fit_input(draw):
+    """(X or encoding, k): one-hot codes with missing values, a single
+    distinct tuple, heavy repeats, or all-distinct random floats; k may
+    exceed the rows."""
+    kind = draw(st.sampled_from(("codes", "one tuple", "repeats", "floats")))
+    n = draw(st.integers(1, 50))
+    k = draw(st.integers(1, 9))
+    if kind == "codes":
+        columns = draw(code_columns(n))
+        return one_hot_encode(code_view(columns, n), list(columns)), k
+    if kind == "one tuple":
+        columns = {"a": (np.full(n, draw(st.integers(-1, 2)),
+                                 dtype=np.int32), 3),
+                   "b": (np.full(n, 1, dtype=np.int32), 2)}
+        return one_hot_encode(code_view(columns, n), ["a", "b"]), k
+    d = draw(st.integers(1, 4))
+    if kind == "repeats":
+        pool = np.array(draw(st.lists(floats, min_size=2 * d,
+                                      max_size=2 * d))).reshape(2, d)
+        picks = draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
+        return pool[picks], k
+    return np.array(draw(st.lists(
+        floats, min_size=n * d, max_size=n * d,
+    ))).reshape(n, d), k
+
+
+def assert_same_rng(a, b):
+    assert a.bit_generator.state == b.bit_generator.state
+
+
+class TestTupleFit:
+    """A fit over distinct tuples equals the plain row-by-row fit."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(fit_input(), st.integers(0, 2**16))
+    def test_equals_the_row_fit_bit_for_bit(self, case, seed):
+        X, k = case
+        rng, held_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # k > n clamps
+            new = KMeans(k, seed=seed).fit(X, rng)
+        held = kmeans_reference(KMeans(k, seed=seed), X, held_rng)
+        assert_same_fit(new, held)
+        assert new.centers.tobytes() == held.centers.tobytes()
+        assert new.labels.dtype == np.int32
+        assert_same_rng(rng, held_rng)
+
+    def test_reseeds_empty_clusters_as_the_row_fit(self):
+        # one distinct tuple and k = 3: two clusters come out empty
+        codes = {"a": (np.full(12, 2, dtype=np.int32), 3)}
+        encoding = one_hot_encode(code_view(codes, 12), ["a"])
+        rng, held_rng = np.random.default_rng(3), np.random.default_rng(3)
+        with work.track() as counted:
+            new = KMeans(3, seed=3).fit(encoding, rng)
+        assert counted.counts["work.cluster.reseeds"] > 0
+        assert_same_fit(new, kmeans_reference(KMeans(3, seed=3), encoding,
+                                              held_rng))
+        assert_same_rng(rng, held_rng)
+
+    def test_counts_tuple_distances(self):
+        # 300 rows over 3 distinct tuples: each distance call costs
+        # tuples x centres
+        codes = {"a": (np.arange(300, dtype=np.int32) % 3, 3),
+                 "b": (np.zeros(300, dtype=np.int32), 1)}
+        encoding = one_hot_encode(code_view(codes, 300), ["a", "b"])
+        with work.track() as counted:
+            fit = KMeans(2, seed=0).fit(encoding)
+        # k-means++ makes two one-centre calls; each iteration and the
+        # final assignment one two-centre call
+        calls = 2 + 2 * (fit.n_iter + 1)
+        assert counted.counts["work.cluster.distance_evals"] == 3 * calls
+
+    def test_span_records_rows_and_tuples(self):
+        codes = {"a": (np.arange(40, dtype=np.int32) % 4, 4)}
+        encoding = one_hot_encode(code_view(codes, 40), ["a"])
+        tracer = Tracer()
+        KMeans(2, seed=0).fit(encoding, tracer=tracer)
+        (span,) = tracer.root.find("kmeans")
+        assert (span.attrs["n"], span.attrs["d"], span.attrs["k"]) == (40, 4, 2)
+        assert span.attrs["tuples"] == 4
+
+    def test_wide_keys_are_renumbered(self):
+        # 20 attributes of width 40: the mixed-radix key would overflow
+        # int64, so the keys so far are renumbered densely on the way
+        rng = np.random.default_rng(0)
+        pool = rng.integers(-1, 40, size=(5, 20)).astype(np.int32)
+        rows = pool[rng.integers(5, size=60)]
+        codes = {f"a{i}": (rows[:, i], 40) for i in range(20)}
+        encoding = one_hot_encode(code_view(codes, 60), list(codes))
+        fit = KMeans(3, seed=0).fit(encoding)
+        tuples = kmeans_module._EncodedTuples(encoding)
+        assert tuples.m == len(np.unique(pool, axis=0))
+        assert_same_fit(fit, kmeans_reference(KMeans(3, seed=0), encoding))
+
+    def test_builder_never_materializes_the_matrix(self, cars, monkeypatch):
+        def refuse(self):
+            raise AssertionError("the one-hot matrix was built")
+
+        monkeypatch.setattr(Encoding, "matrix", property(refuse))
+        cad = CADViewBuilder(
+            CADViewConfig(compare_limit=3, iunits_k=2, seed=7)
+        ).build(cars, pivot="BodyType")
+        assert cad.all_iunits()
 
 
 # -------------------------------------------------- cluster labeling
@@ -461,8 +703,8 @@ class TestLabeling:
 # --------------------------------------------- whole builds, held forms
 
 # explore-workload CREATEs on the 40K table.  On the first three, a
-# per-attribute gather of the k-means distances (not BLAS's order of
-# addition) ends some fits differently and changes the view.
+# k-means distance that adds in another order than the held row fit
+# ends some fits differently and changes the view.
 EXPLORE_BUILDS = (
     "SET pivot = Make SELECT Price, Mileage FROM data WHERE BodyType IN "
     "(Sedan, Truck) AND Price < 20000 AND Mileage > 50000",
@@ -500,13 +742,17 @@ def explorer40k():
     return dbx
 
 
+def fit_reference(self, X, rng=None, checkpoint=None, tracer=None):
+    """:meth:`KMeans.fit` as the plain row-by-row fit."""
+    return kmeans_reference(self, X, rng)
+
+
 def test_builds_equal_the_held_forms(explorer40k):
-    """Partition, centroid sums, distances and labeling all held."""
+    """Partition, the row-by-row k-means fit and labeling all held."""
     new = build_views(explorer40k)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(DiscretizedView, "partition", partition_reference)
-        mp.setattr(kmeans_module, "_CountSums", count_sums_reference)
-        mp.setattr(kmeans_module, "_pairwise_sq_dists", distances_reference)
+        mp.setattr(KMeans, "fit", fit_reference)
         mp.setattr(builder_module, "build_iunits", build_iunits_reference)
         old = build_views(explorer40k)
     for a, b in zip(new, old):
@@ -705,14 +951,36 @@ class TestSearchKernels:
         )
 
     @settings(max_examples=100, deadline=None)
+    @given(candidate_sets(), st.data())
+    def test_reorder_block_equals_one_call_per_row(self, case, data):
+        units, tau = case
+        cuts = sorted(data.draw(st.lists(
+            st.integers(0, len(units)), max_size=4,
+        )))
+        rows = [units[a:b] for a, b in zip([0, *cuts], [*cuts, len(units)])]
+        tx, tys = rows[0], rows[1:]
+        with work.track() as counted:
+            got = ranked_list_distances(tx, tys, tau)
+        assert got == [ranked_list_reference(tx, ty, tau) for ty in tys]
+        assert counted.counts.get("work.diversify.similarity_pairs", 0) == (
+            len(tx) * sum(len(ty) for ty in tys)
+        )
+
+    def test_reorder_sorts_by_value_distance(self, cad):
+        for preferred in cad.pivot_values:
+            others = [v for v in cad.pivot_values if v != preferred]
+            others.sort(key=lambda v: (cad.value_distance(preferred, v), v))
+            reordered = cad.reorder_by_similarity(preferred)
+            assert list(reordered.pivot_values) == [preferred, *others]
+
+    @settings(max_examples=100, deadline=None)
     @given(candidate_sets())
     def test_gram_form_matches_held_gram_form(self, case):
         units, _ = case
-        n = len(units)
-        nattrs = len(units[0].compare_attributes) if units else 0
-        off = ~np.eye(n, dtype=bool)
-        diff = np.abs(similarity_matrix(units) - matrix_reference(units))
-        assert np.all(diff[off] <= 1e-12 * nattrs)
+        assert (
+            similarity_matrix(units).tobytes()
+            == matrix_reference(units).tobytes()
+        )
 
     def test_highlight_prints_algorithm1_bits(self, cad):
         for value in cad.pivot_values:
@@ -762,12 +1030,9 @@ class TestSimilarityGraph:
         ref_adj, ref_totals = graph_reference(units, tau)
         adj = similarity_graph(units, tau)
         totals = similarity_matrix(units)
-        n = len(units)
-        nattrs = len(units[0].compare_attributes) if units else 0
-        off = ~np.eye(n, dtype=bool)
-        assert np.all(np.abs(totals - ref_totals)[off] <= 1e-12 * nattrs)
-        decided = off & (np.abs(ref_totals - tau) > 1e-9)
-        assert np.array_equal(adj[decided], ref_adj[decided])
+        off = ~np.eye(len(units), dtype=bool)
+        assert totals[off].tobytes() == ref_totals[off].tobytes()
+        assert np.array_equal(adj, ref_adj)
         assert np.array_equal(adj, adj.T)
         assert not adj.diagonal().any()
 

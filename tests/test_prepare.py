@@ -7,7 +7,9 @@ thread executor prepares at submit, the proc supervisor parses once at
 submit, and a proc worker parses once for both the execution and its
 reply.  Counting ``parse`` calls pins each of those, and the
 re-analysis cases pin that execution stays the source of truth: a
-prepared statement fails or answers exactly as its SQL text would.
+prepared statement fails or answers exactly as its SQL text would.  The
+thread executor analyzes only what it admits: a statement refused at
+admission is parsed, for its kind, and never analyzed.
 """
 
 from __future__ import annotations
@@ -230,7 +232,10 @@ class TestThreadExecutorParsesOnce:
     @pytest.mark.parametrize("sql, kind", [
         (SELECT, "select"), ("SELEC nonsense", "invalid"),
     ])
-    def test_refused_at_admission(self, cars, parses, tmp_path, sql, kind):
+    def test_refused_at_admission(
+        self, cars, parses, analyses, tmp_path, sql, kind
+    ):
+        # parsed for its kind, never analyzed
         log = tmp_path / "rejected.worklog.jsonl"
         with WorkLogWriter(str(log)) as worklog, SessionExecutor(
             _explorer(cars, worklog), ServeConfig(workers=1)
@@ -241,6 +246,7 @@ class TestThreadExecutorParsesOnce:
                     faults=FaultInjector.parse("serve.queue_full=crash*1"),
                 )
         assert parses == [sql]
+        assert analyses == []
         (record,) = [
             r for r in read_worklog(str(log)) if r["kind"] == "statement"
         ]
