@@ -1,20 +1,13 @@
-"""Clustering substrate: encodings, k-means, k-modes, quality measures."""
+"""Clustering substrate: one-hot encodings, k-means, k-modes, agglomerative."""
 
 from repro.clustering.encoding import Encoding, one_hot_encode
 from repro.clustering.kmeans import KMeans, KMeansResult
 from repro.clustering.hierarchical import AgglomerativeResult, agglomerative
 from repro.clustering.kmodes import KModes, KModesResult
-from repro.clustering.model_selection import (
-    ClusterCountChoice,
-    select_num_clusters,
-)
-from repro.clustering.quality import davies_bouldin, inertia, silhouette_score
 
 __all__ = [
     "Encoding", "one_hot_encode",
     "KMeans", "KMeansResult",
     "KModes", "KModesResult",
-    "inertia", "silhouette_score", "davies_bouldin",
-    "ClusterCountChoice", "select_num_clusters",
     "AgglomerativeResult", "agglomerative",
 ]

@@ -5,16 +5,17 @@ above-chosen Compare Attributes" (Sec. 3.1.2) with standard k-means.
 k-means needs numeric vectors, so the discretized (all-categorical)
 tuples are one-hot encoded: one indicator block per Compare Attribute.
 
-Each block is optionally scaled by ``1 / sqrt(2)`` per attribute so that
-two tuples differing in one attribute are at distance 1 regardless of
-that attribute's cardinality — without this, high-cardinality attributes
-neither gain nor lose weight, which keeps the clustering aligned with
-the labeling step (which treats attributes uniformly).
+Each present code sets ``1 / sqrt(2)``, so two tuples differing in one
+attribute are at squared distance 1 whatever that attribute's
+cardinality: every attribute weighs the same, which keeps the
+clustering aligned with the labeling step (which treats attributes
+uniformly).
 
 An :class:`Encoding` keeps the code columns and the block layout, which
 is all :class:`~repro.clustering.kmeans.KMeans` reads; the n x d
 indicator matrix itself is built only when something reads
-:attr:`Encoding.matrix` (DESIGN §15).
+:attr:`Encoding.matrix` (the clustering ablation's agglomerative
+baseline and the test oracles; DESIGN §15).
 """
 
 from __future__ import annotations
@@ -50,7 +51,7 @@ class Encoding:
         row ``i`` holds ``value`` at ``offsets[name] + codes[b][i]`` and
         zero elsewhere in block ``b``.
     value:
-        The entry a present code sets: ``1 / sqrt(2)`` scaled, else 1.
+        The entry a present code sets, ``1 / sqrt(2)``.
     """
 
     names: Tuple[str, ...]
@@ -84,16 +85,12 @@ class Encoding:
         return X
 
 
-def one_hot_encode(
-    view: DiscretizedView,
-    names: Sequence[str],
-    scale: bool = True,
-) -> Encoding:
+def one_hot_encode(view: DiscretizedView, names: Sequence[str]) -> Encoding:
     """One-hot encode ``names`` over all rows of ``view``.
 
-    Missing codes contribute an all-zero block.  With ``scale=True`` the
-    two indicator entries that differ between tuples disagreeing on one
-    attribute contribute exactly 1.0 to squared distance.
+    Missing codes contribute an all-zero block.  The two indicator
+    entries that differ between tuples disagreeing on one attribute
+    contribute exactly 1.0 to squared distance.
     """
     names = tuple(names)
     if not names:
@@ -104,6 +101,5 @@ def one_hot_encode(
     for name in names:
         offsets[name] = total
         total += max(1, widths[name])
-    value = 1.0 / np.sqrt(2.0) if scale else 1.0
     codes = tuple(view.codes(name) for name in names)
-    return Encoding(names, offsets, widths, codes, float(value))
+    return Encoding(names, offsets, widths, codes, float(1.0 / np.sqrt(2.0)))

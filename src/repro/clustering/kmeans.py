@@ -1,30 +1,29 @@
 """Standard k-means (Lloyd's algorithm with k-means++ seeding).
 
 The paper uses Weka's SimpleKMeans "since both efficiency and quality
-are major concerns" (Sec. 3.1.2).  This is the numpy equivalent:
-k-means++ initialization, Lloyd iterations, empty-cluster reseeding to
-the farthest points, and a relative-improvement stopping rule.
+are major concerns" (Sec. 3.1.2).  This is the numpy equivalent over
+one-hot encoded Compare Attribute tuples: k-means++ initialization,
+Lloyd iterations, empty-cluster reseeding to the farthest points, and
+a relative-improvement stopping rule.
 
-Discretized tuples repeat, so a fit clusters the *distinct* rows of its
-input, each weighted by the number of rows that carry it (DESIGN §15).
-A squared distance ``|t|^2 - 2 t.c + |c|^2`` is computed once per
-distinct row, with both sums over the columns added in column order,
-never by BLAS.  Rows are reached only through 1-D gathers: the
-k-means++ draws, the inertia, the reseeding order and the labels.  So
-a fit equals the row-by-row fit of the same kernel bit for bit, RNG
-state included, and its bits do not depend on the BLAS library.
-
-Given a one-hot :class:`~repro.clustering.encoding.Encoding`, the dot
-products gather the centres' column at each tuple's code, attribute by
-attribute, and the centroid sums are read off per-attribute count
-tables; the n x d indicator matrix is never built.
+Discretized tuples repeat, so a fit clusters the *distinct* tuples of
+its :class:`~repro.clustering.encoding.Encoding`, each weighted by the
+number of rows that carry it (DESIGN §15).  A squared distance ``|t|^2
+- 2 t.c + |c|^2`` is computed once per distinct tuple: ``t.c`` gathers
+the centres' column at the tuple's code, attribute by attribute, and
+adds the attributes in order, never by BLAS.  Rows are reached only
+through 1-D gathers: the k-means++ draws, the inertia, the reseeding
+order and the labels.  So a fit equals the row-by-row fit of the
+encoding's matrix bit for bit, RNG state included, and its bits do not
+depend on the BLAS library.  The centroid sums are read off
+per-attribute count tables; the n x d indicator matrix is never built.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from typing import Callable, Optional, Union
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -34,6 +33,9 @@ from repro.obs import work
 from repro.obs.tracer import NULL_TRACER, Tracer
 
 __all__ = ["KMeansResult", "KMeans"]
+
+MAX_ITER = 50   # Lloyd iteration cap, kept small for interactive builds
+TOL = 1e-4      # relative inertia improvement below which a fit stops
 
 
 @dataclass(frozen=True)
@@ -51,7 +53,7 @@ class KMeansResult:
         return self.centers.shape[0]
 
     def cluster_sizes(self) -> np.ndarray:
-        """(k,) tuple counts per cluster."""
+        """(k,) row counts per cluster."""
         return np.bincount(self.labels, minlength=self.k)
 
 
@@ -66,44 +68,20 @@ def _sq_norms(X: np.ndarray) -> np.ndarray:
     return np.einsum("ij,ij->i", X, X)[:, None]
 
 
-def _distinct(keys: np.ndarray):
-    """(rows, inverse): a row holding each distinct key, each row's key."""
-    distinct, inverse = np.unique(keys, return_inverse=True)
-    inverse = inverse.ravel()
-    rows = np.empty(len(distinct), dtype=np.intp)
-    rows[inverse] = np.arange(len(inverse))  # any holder will do
-    return rows, inverse
-
-
-def _cluster_sums(X: np.ndarray, labels: np.ndarray, k: int) -> np.ndarray:
-    """(k, d) per-cluster row sums, each accumulated in row order.
-
-    Per column, ``bincount`` adds the rows into their clusters one
-    after another -- the same float additions, in the same order, as
-    ``np.add.at(sums, labels, X)``, so the centroids are bit-identical
-    to it.  A masked ``X[labels == j].sum(axis=0)`` is not: with one
-    column the reduced axis is the contiguous one and numpy sums it
-    pairwise.  Nothing of size n x d is allocated.
-    """
-    sums = np.empty((k, X.shape[1]))
-    for c in range(X.shape[1]):
-        sums[:, c] = np.bincount(labels, weights=X[:, c], minlength=k)
-    return sums
-
-
 class _CountSums:
-    """:func:`_cluster_sums` of a one-hot encoding, from its codes.
+    """(k, d) per-cluster sums of a one-hot encoding's rows, from its codes.
 
-    A one-hot column holds only 0 and ``s``, and ``bincount`` adds it
-    in row order, so a cluster's sum over ``m`` rows holding the value
-    is ``s`` added ``m`` times in sequence, and adding a 0 changes
-    nothing.  That is ``T[m]`` of the prefix table ``T = cumsum([0, s,
-    s, ...])``, which numpy also accumulates in order.  So the sums are
-    ``T`` read at the count of every (cluster, column) cell,
-    bit-identical to the per-column form.  One ``bincount`` counts all
-    the cells: an attribute of block width ``w`` owns ``w + 1`` cells
-    per cluster, a missing code counting into the spare one, which is
-    dropped.  Nothing of size n x d is built.
+    A centroid is reproducible only if its rows are added in the same
+    order every time: row after row, as ``np.add.at(sums, labels, X)``
+    adds them.  A one-hot column holds only 0 and ``s``, so a cluster's
+    sum over ``m`` rows holding the value is ``s`` added ``m`` times in
+    sequence, and adding a 0 changes nothing.  That is ``T[m]`` of the
+    prefix table ``T = cumsum([0, s, s, ...])``, which numpy also
+    accumulates in order.  So the sums are ``T`` read at the count of
+    every (cluster, column) cell, bit-identical to the row-order form.
+    One ``bincount`` counts all the cells: an attribute of block width
+    ``w`` owns ``w + 1`` cells per cluster, a missing code counting into
+    the spare one, which is dropped.  Nothing of size n x d is built.
 
     ``rows`` picks the rows whose codes are counted and ``weights`` how
     many rows each stands for, so the labels of distinct tuples with
@@ -139,75 +117,18 @@ class _CountSums:
 
 
 class _Tuples:
-    """The distinct rows of one fit's input.
-
-    ``inverse[i]`` is row ``i``'s tuple, ``rep[t]`` a row that carries
-    tuple ``t`` and ``weights[t]`` how many rows carry it.  A
-    subclass sets ``sq_norms`` (each tuple's ``|t|^2``) and gives the
-    tuples' dot products with the centres (:meth:`dots`), the vectors
-    of given rows (:meth:`rows`) and the centroid sums of a labeling of
-    the tuples (:meth:`sums`).  Both sums over the columns are added in
-    column order, the first term first.
-    """
-
-    sq_norms: np.ndarray
-
-    def __init__(self, keys: np.ndarray, width: int):
-        self.rep, self.inverse = _distinct(keys)
-        self.weights = np.bincount(self.inverse).astype(np.float64)
-        self.n = len(keys)
-        self.m = len(self.rep)
-        self.d = width
-
-    def sq_dists(self, C: np.ndarray) -> np.ndarray:
-        """(m, k) squared distances ``|t|^2 - 2 t.c + |c|^2`` to ``C``."""
-        work.add("work.cluster.distance_evals", self.m * C.shape[0])
-        d = self.dots(C)
-        d *= -2.0
-        d += self.sq_norms[:, None]
-        d += _sq_norms(C).T
-        np.maximum(d, 0.0, out=d)
-        return d
-
-
-class _MatrixTuples(_Tuples):
-    """A float matrix's distinct rows (equal bytes, one tuple)."""
-
-    def __init__(self, X: np.ndarray):
-        row = np.dtype((np.void, X.dtype.itemsize * X.shape[1]))
-        super().__init__(np.ascontiguousarray(X).view(row).ravel(),
-                         X.shape[1])
-        self.X = X
-        self.unique = X[self.rep]
-        U = self.unique
-        self.sq_norms = U[:, 0] * U[:, 0]
-        for j in range(1, self.d):
-            self.sq_norms += U[:, j] * U[:, j]
-
-    def dots(self, C: np.ndarray) -> np.ndarray:
-        U = self.unique
-        out = np.multiply.outer(U[:, 0], C[:, 0])
-        for j in range(1, self.d):
-            out += np.multiply.outer(U[:, j], C[:, j])
-        return out
-
-    def rows(self, idx: np.ndarray) -> np.ndarray:
-        return self.X[idx]
-
-    def sums(self, labels: np.ndarray, k: int) -> np.ndarray:
-        return _cluster_sums(self.X, labels[self.inverse], k)
-
-
-class _EncodedTuples(_Tuples):
     """A one-hot encoding's distinct code tuples, read off its codes.
 
-    A row's key is its codes in a mixed radix of ``w + 1`` per attribute
-    of block width ``w``, a missing code in the spare digit ``w``.  A
-    tuple's one-hot row holds ``s`` at one column per present code, so
-    its dot product with a centre adds ``s * c`` at those columns, in
-    attribute order -- the column form's nonzero terms in its order,
-    and adding its zero terms changes nothing -- and ``|t|^2`` adds
-    ``s * s`` once per present code.
+    ``inverse[i]`` is row ``i``'s tuple, ``rep[t]`` a row that carries
+    tuple ``t`` and ``weights[t]`` how many rows carry it.  A row's key
+    is its codes in a mixed radix of ``w + 1`` per attribute of block
+    width ``w``, a missing code in the spare digit ``w``.  A tuple's
+    one-hot row holds ``s`` at one column per present code, so its dot
+    product with a centre adds ``s * c`` at those columns, in attribute
+    order -- the nonzero terms of the sum over its columns, in column
+    order, and adding the zero terms changes nothing -- and ``|t|^2``
+    adds ``s * s`` once per present code.  :attr:`sums` gives the
+    centroid sums of a labeling of the tuples.
     """
 
     def __init__(self, encoding: Encoding):
@@ -222,7 +143,14 @@ class _EncodedTuples(_Tuples):
                 bound = n
             key = key * base + np.where(codes >= 0, codes, base - 1)
             bound *= base
-        super().__init__(key, encoding.width)
+        distinct, inverse = np.unique(key, return_inverse=True)
+        self.inverse = inverse.ravel()
+        self.rep = np.empty(len(distinct), dtype=np.intp)
+        self.rep[self.inverse] = np.arange(n)  # any holder will do
+        self.weights = np.bincount(self.inverse).astype(np.float64)
+        self.n = n
+        self.m = len(self.rep)
+        self.d = encoding.width
         self.value = encoding.value
         offsets = np.array([encoding.offsets[name] for name in encoding.names])
         codes = np.stack([c[self.rep] for c in encoding.codes])
@@ -236,22 +164,25 @@ class _EncodedTuples(_Tuples):
         # each tuple's one-hot row: m x d, never n x d
         self.vectors = np.zeros((self.m, self.d + 1))
         self.vectors[np.arange(self.m), self.columns] = self.value
-        self.count_sums = _CountSums(encoding, self.rep, self.weights)
+        self.sums = _CountSums(encoding, self.rep, self.weights)
 
-    def dots(self, C: np.ndarray) -> np.ndarray:
+    def sq_dists(self, C: np.ndarray) -> np.ndarray:
+        """(m, k) squared distances ``|t|^2 - 2 t.c + |c|^2`` to ``C``."""
+        work.add("work.cluster.distance_evals", self.m * C.shape[0])
         scaled = np.zeros((self.d + 1, C.shape[0]))
         np.multiply(C.T, self.value, out=scaled[:self.d])
         terms = scaled[self.columns]   # (attributes, tuples, centres)
-        out = terms[0]
+        d = terms[0]
         for term in terms[1:]:
-            out += term
-        return out
+            d += term
+        d *= -2.0
+        d += self.sq_norms[:, None]
+        d += _sq_norms(C).T
+        np.maximum(d, 0.0, out=d)
+        return d
 
     def rows(self, idx: np.ndarray) -> np.ndarray:
         return self.vectors[self.inverse[idx], :self.d]
-
-    def sums(self, labels: np.ndarray, k: int) -> np.ndarray:
-        return self.count_sums(labels, k)
 
 
 class KMeans:
@@ -261,26 +192,14 @@ class KMeans:
     ----------
     n_clusters:
         Number of clusters (the paper's ``l`` candidate IUnits).
-    max_iter:
-        Iteration cap; the interactive setting favors small caps.
-    tol:
-        Relative inertia improvement below which we stop.
     seed:
         RNG seed for reproducible views.
     """
 
-    def __init__(
-        self,
-        n_clusters: int,
-        max_iter: int = 50,
-        tol: float = 1e-4,
-        seed: int = 0,
-    ):
+    def __init__(self, n_clusters: int, seed: int = 0):
         if n_clusters < 1:
             raise QueryError(f"n_clusters must be >= 1, got {n_clusters}")
         self.n_clusters = n_clusters
-        self.max_iter = max_iter
-        self.tol = tol
         self.seed = seed
 
     # -- seeding ---------------------------------------------------------
@@ -316,33 +235,28 @@ class KMeans:
 
     def fit(
         self,
-        X: Union[np.ndarray, Encoding],
+        X: Encoding,
         rng: Optional[np.random.Generator] = None,
         checkpoint: Optional[Callable[[], None]] = None,
         tracer: Optional[Tracer] = None,
     ) -> KMeansResult:
-        """Cluster the rows of ``X``, a matrix or a one-hot encoding.
+        """Cluster the rows of the one-hot encoding ``X``.
 
-        The fit runs over ``X``'s distinct rows and equals the
-        row-by-row fit bit for bit; fitting an :class:`Encoding` equals
-        fitting its matrix.  If there are fewer rows than clusters,
-        every row becomes its own cluster (k is clamped, with a warning
-        — tiny pivot partitions are routine, not an error).
-        ``checkpoint`` is called once per Lloyd iteration; a budgeted
-        caller passes a deadline check that raises
-        :class:`~repro.errors.BudgetExceededError`.  A ``tracer`` gains
-        a ``kmeans`` span recording iterations, empty-cluster reseeds
-        and convergence.
+        The fit runs over ``X``'s distinct tuples and equals the
+        row-by-row fit of ``X.matrix`` bit for bit.  If there are fewer
+        rows than clusters, every row becomes its own cluster (k is
+        clamped, with a warning — tiny pivot partitions are routine,
+        not an error).  ``checkpoint`` is called once per Lloyd
+        iteration; a budgeted caller passes a deadline check that
+        raises :class:`~repro.errors.BudgetExceededError`.  A ``tracer``
+        gains a ``kmeans`` span recording iterations, empty-cluster
+        reseeds and convergence.
         """
-        if isinstance(X, Encoding):
-            n, d = X.nrows, X.width
-        else:
-            X = np.asarray(X, dtype=np.float64)
-            if X.ndim != 2 or X.shape[1] == 0:
-                raise QueryError(
-                    f"X must be 2-D with columns, got shape {X.shape}"
-                )
-            n, d = X.shape
+        if not isinstance(X, Encoding):
+            raise QueryError(
+                f"k-means fits an Encoding, got {type(X).__name__}"
+            )
+        n, d = X.nrows, X.width
         if n == 0:
             raise QueryError("cannot cluster zero rows")
         rng = rng or np.random.default_rng(self.seed)
@@ -357,17 +271,14 @@ class KMeans:
         tracer = tracer or NULL_TRACER
 
         with tracer.span("kmeans", n=n, d=d, k=k) as span:
-            tuples = (
-                _EncodedTuples(X) if isinstance(X, Encoding)
-                else _MatrixTuples(X)
-            )
+            tuples = _Tuples(X)
             span.set_attr("tuples", tuples.m)
             at = np.arange(tuples.m)
             centers = self._init_centers(tuples, rng)
             prev_inertia = np.inf
             converged = False
             n_iter = 0
-            for n_iter in range(1, self.max_iter + 1):
+            for n_iter in range(1, MAX_ITER + 1):
                 if checkpoint is not None:
                     checkpoint()
                 span.inc("iterations")
@@ -393,8 +304,7 @@ class KMeans:
                 centers = sums / counts[:, None]
 
                 if np.isfinite(prev_inertia) and (
-                    prev_inertia - inertia
-                    <= self.tol * max(prev_inertia, 1e-12)
+                    prev_inertia - inertia <= TOL * max(prev_inertia, 1e-12)
                 ):
                     converged = True
                     break

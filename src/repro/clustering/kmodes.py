@@ -22,6 +22,8 @@ from repro.obs.tracer import NULL_TRACER, Tracer
 
 __all__ = ["KModesResult", "KModes"]
 
+MAX_ITER = 50   # iteration cap, as k-means has
+
 
 @dataclass(frozen=True)
 class KModesResult:
@@ -65,11 +67,10 @@ def _column_modes(X: np.ndarray, minlength: int = 0) -> np.ndarray:
 class KModes:
     """Huang's k-modes with greedy density-based seeding."""
 
-    def __init__(self, n_clusters: int, max_iter: int = 50, seed: int = 0):
+    def __init__(self, n_clusters: int, seed: int = 0):
         if n_clusters < 1:
             raise QueryError(f"n_clusters must be >= 1, got {n_clusters}")
         self.n_clusters = n_clusters
-        self.max_iter = max_iter
         self.seed = seed
 
     def fit(
@@ -123,7 +124,7 @@ class KModes:
 
             labels = np.zeros(n, dtype=np.int32)
             n_iter = 0
-            for n_iter in range(1, self.max_iter + 1):
+            for n_iter in range(1, MAX_ITER + 1):
                 if checkpoint is not None:
                     checkpoint()
                 span.inc("iterations")

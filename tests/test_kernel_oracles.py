@@ -1,18 +1,18 @@
 """Differential oracles for the vectorized CAD View kernels.
 
 Each kernel is checked against the straightforward form it replaced,
-which lives only here: the k-means centroid update (per column, and
-from an encoding's count tables) against ``np.add.at``, the k-means fit
-over distinct tuples against a plain row-by-row fit of the same
-fixed-order distance kernel (bit for bit) and against the BLAS distance
-product it replaced (within a tolerance), cluster labeling against one
-mask per cluster, the categorical remap against ``sorted(set(...))``, a
-categorical column's distinct values against ``np.unique`` of its
-codes, the V-optimal micro-bucket counts against ``np.add.at``, and the
-search kernels (Algorithms 1 and 2, and the build's similarity graph)
-against the scalar cosine that re-normalized both vectors on every
-call.  A build-level case runs whole CAD View builds on the held forms
-and on the shipped ones.
+which lives only here: the k-means centroid sums, read off an
+encoding's count tables, against ``np.add.at``, the k-means fit over
+distinct tuples against a plain row-by-row fit of the encoding's matrix
+with the same fixed-order distance kernel (bit for bit) and against
+the BLAS distance product it replaced (within a tolerance), cluster
+labeling against one mask per cluster, the categorical remap against
+``sorted(set(...))``, a categorical column's distinct values against
+``np.unique`` of its codes, the V-optimal micro-bucket counts against
+``np.add.at``, and the search kernels (Algorithms 1 and 2, and the
+build's similarity graph) against the scalar cosine that re-normalized
+both vectors on every call.  A build-level case runs whole CAD View
+builds on the held forms and on the shipped ones.
 """
 
 from __future__ import annotations
@@ -27,10 +27,8 @@ from hypothesis import strategies as st
 
 from repro import CADViewBuilder, CADViewConfig, DBExplorer
 from repro.clustering import Encoding, KMeans, one_hot_encode
-from repro.clustering import kmeans as kmeans_module
 from repro.clustering.kmeans import (
-    KMeansResult, _CountSums, _cluster_sums, _MatrixTuples, _sq_norms,
-    _Tuples,
+    MAX_ITER, TOL, KMeansResult, _CountSums, _sq_norms, _Tuples,
 )
 from repro.core import builder as builder_module
 from repro.core.serialize import to_dict
@@ -75,13 +73,14 @@ def blas_distances(X, C):
     return np.maximum(d, 0.0)
 
 
-def kmeans_reference(km, X, rng=None):
+def kmeans_reference(km, encoding, rng=None):
     """Lloyd's k-means with k-means++ seeding, row by row.
 
-    Every row's distances are computed (no distinct tuples), with the
-    fixed-order kernel, and the centroids are summed by ``np.add.at``.
+    Every row of the encoding's matrix has its distances computed (no
+    distinct tuples), with the fixed-order kernel, and the centroids are
+    summed by ``np.add.at``.
     """
-    X = X.matrix if isinstance(X, Encoding) else np.asarray(X, dtype=float)
+    X = encoding.matrix
     n, d = X.shape
     k = min(km.n_clusters, n)
     rng = rng or np.random.default_rng(km.seed)
@@ -98,7 +97,7 @@ def kmeans_reference(km, X, rng=None):
             closest, fixed_order_distances(X, centers[j:j + 1])[:, 0]
         )
     prev, n_iter = np.inf, 0
-    for n_iter in range(1, km.max_iter + 1):
+    for n_iter in range(1, MAX_ITER + 1):
         dists = fixed_order_distances(X, centers)
         labels = dists.argmin(axis=1)
         nearest = dists[np.arange(n), labels]
@@ -110,7 +109,7 @@ def kmeans_reference(km, X, rng=None):
             sums[j] = X[idx]
             counts[j] = 1.0
         centers = sums / counts[:, None]
-        if np.isfinite(prev) and prev - inertia <= km.tol * max(prev, 1e-12):
+        if np.isfinite(prev) and prev - inertia <= TOL * max(prev, 1e-12):
             break
         prev = inertia
     dists = fixed_order_distances(X, centers)
@@ -283,11 +282,6 @@ def graph_reference(units, tau):
 
 # ------------------------------------------------ k-means centroids
 
-floats = st.floats(
-    min_value=-1e6, max_value=1e6, allow_nan=False, allow_subnormal=True,
-)
-
-
 def code_view(codes, nrows):
     """A table-less view over ``codes`` ({name: (codes, width)})."""
     return DiscretizedView(
@@ -329,64 +323,6 @@ def coded_design(draw):
     return encoding, labels, k
 
 
-@st.composite
-def design(draw):
-    """(X, labels, k): one-hot blocks or random floats, k >= used labels."""
-    if draw(st.booleans()):
-        encoding, labels, k = draw(coded_design())
-        return encoding.matrix, labels, k
-    n = draw(st.integers(1, 60))
-    k = draw(st.integers(1, 8))
-    labels = np.array(
-        draw(st.lists(st.integers(0, k - 1), min_size=n, max_size=n)),
-        dtype=np.int32,
-    )
-    d = draw(st.integers(1, 6))
-    X = np.array(
-        draw(st.lists(floats, min_size=n * d, max_size=n * d)),
-    ).reshape(n, d)
-    return X, labels, k
-
-
-class TestCentroidUpdate:
-    @settings(max_examples=200, deadline=None)
-    @given(design())
-    def test_matches_add_at(self, case):
-        X, labels, k = case
-        assert np.array_equal(
-            _cluster_sums(X, labels, k), sums_reference(X, labels, k)
-        )
-
-    def test_empty_clusters_sum_to_zero(self):
-        X = np.arange(12.0).reshape(4, 3)
-        labels = np.array([2, 2, 0, 2], dtype=np.int32)
-        sums = _cluster_sums(X, labels, 5)
-        assert np.array_equal(sums, sums_reference(X, labels, 5))
-        assert not sums[[1, 3, 4]].any()
-
-    def test_single_column_accumulates_in_row_order(self):
-        # a masked X[labels == j].sum(axis=0) sums one column pairwise
-        X = np.full((5000, 1), 1.0 / np.sqrt(2.0))
-        labels = (np.arange(5000) % 3).astype(np.int32)
-        assert np.array_equal(
-            _cluster_sums(X, labels, 3), sums_reference(X, labels, 3)
-        )
-
-    @settings(max_examples=40, deadline=None)
-    @given(design(), st.integers(0, 2**16))
-    def test_fit_matches_add_at_fit(self, case, seed):
-        X, _, k = case
-        k = min(k, len(X))
-        new = KMeans(k, seed=seed).fit(X)
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(kmeans_module, "_cluster_sums", sums_reference)
-            old = KMeans(k, seed=seed).fit(X)
-        assert np.array_equal(new.labels, old.labels)
-        assert np.array_equal(new.centers, old.centers)
-        assert new.inertia == old.inertia
-        assert new.n_iter == old.n_iter
-
-
 def assert_same_fit(new, old):
     assert np.array_equal(new.labels, old.labels)
     assert np.array_equal(new.centers, old.centers)
@@ -407,7 +343,7 @@ class TestCountTableSums:
     @given(coded_design(), st.data())
     def test_weighted_tuples_match_add_at_over_rows(self, case, data):
         encoding, _, k = case
-        tuples = kmeans_module._EncodedTuples(encoding)
+        tuples = _Tuples(encoding)
         labels = np.array(data.draw(st.lists(
             st.integers(0, k - 1), min_size=tuples.m, max_size=tuples.m,
         )))
@@ -443,49 +379,30 @@ class TestCountTableSums:
         labels = np.zeros(n, dtype=np.int32)
         sums = row_count_sums(encoding)(labels, 1)
         assert np.array_equal(sums, sums_reference(encoding.matrix, labels, 1))
-        assert np.array_equal(sums, _cluster_sums(encoding.matrix, labels, 1))
-
-    @settings(max_examples=100, deadline=None)
-    @given(coded_design(), st.integers(0, 2**16))
-    def test_fit_on_encoding_matches_fit_on_matrix(self, case, seed):
-        encoding, _, k = case
-        k = min(k, len(encoding.matrix))
-        assert_same_fit(
-            KMeans(k, seed=seed).fit(encoding),
-            KMeans(k, seed=seed).fit(encoding.matrix),
-        )
-
-    def test_fit_on_encoding_skips_the_column_loop(self, monkeypatch):
-        codes = {"a": (np.array([0, 1, 2, 0, 1, 2, 0], dtype=np.int32), 3)}
-        encoding = one_hot_encode(code_view(codes, 7), ["a"])
-
-        def refuse(*args):
-            raise AssertionError("per-column sums ran for an encoding")
-
-        monkeypatch.setattr(kmeans_module, "_cluster_sums", refuse)
-        assert KMeans(3, seed=0).fit(encoding).k == 3
 
 
 class TestDistances:
     @settings(max_examples=200, deadline=None)
-    @given(design(), st.integers(1, 5), st.integers(0, 2**16))
+    @given(coded_design(), st.integers(1, 5), st.integers(0, 2**16))
     def test_in_place_matches_expression(self, case, k, seed):
-        # per distinct row, in its buffer, equal to every row's
+        # per distinct tuple, in its buffer, equal to every row's
         # distances written out
-        X, _, _ = case
+        encoding, _, _ = case
+        X = encoding.matrix
         rng = np.random.default_rng(seed)
         C = X[rng.integers(len(X), size=k)] + rng.normal(size=(k, X.shape[1]))
-        tuples = _MatrixTuples(X)
+        tuples = _Tuples(encoding)
         got = tuples.sq_dists(C)[tuples.inverse]
         assert got.tobytes() == fixed_order_distances(X, C).tobytes()
 
     @settings(max_examples=200, deadline=None)
-    @given(design(), st.integers(1, 5), st.integers(0, 2**16))
+    @given(coded_design(), st.integers(1, 5), st.integers(0, 2**16))
     def test_blas_product_within_tolerance(self, case, k, seed):
-        X, _, _ = case
+        encoding, _, _ = case
+        X = encoding.matrix
         rng = np.random.default_rng(seed)
         C = X[rng.integers(len(X), size=k)] + rng.normal(size=(k, X.shape[1]))
-        tuples = _MatrixTuples(X)
+        tuples = _Tuples(encoding)
         got = tuples.sq_dists(C)[tuples.inverse]
         held = blas_distances(X, C)
         scale = _sq_norms(X) + _sq_norms(C).T
@@ -513,22 +430,26 @@ class TestDistances:
 
 
 def blas_sq_dists(self, C):
-    """:meth:`_Tuples.sq_dists` as the BLAS product, on matrix tuples."""
+    """:meth:`_Tuples.sq_dists` as the BLAS product."""
     work.add("work.cluster.distance_evals", self.m * C.shape[0])
-    return blas_distances(self.unique, C)
+    return blas_distances(self.vectors[:, :self.d], C)
 
 
 @pytest.mark.parametrize("seed", range(12))
 def test_fit_matches_the_blas_fit_on_separated_blobs(seed):
-    # continuous data leaves no near ties, so the BLAS order of
-    # addition moves only the last bits of the centres
+    # four groups that differ in every attribute leave no near ties,
+    # so the BLAS order of addition moves only the last bits of the
+    # centres
     rng = np.random.default_rng(seed)
-    means = rng.normal(scale=6.0, size=(4, 3))
-    X = np.concatenate([m + rng.normal(size=(40, 3)) for m in means])
-    new = KMeans(4, seed=seed).fit(X)
+    codes = np.repeat(np.arange(4), 40)[:, None].repeat(4, axis=1)
+    noise = rng.random(codes.shape) < 0.1
+    codes[noise] = rng.integers(6, size=int(noise.sum()))
+    columns = {f"a{j}": (codes[:, j].astype(np.int32), 6) for j in range(4)}
+    encoding = one_hot_encode(code_view(columns, len(codes)), list(columns))
+    new = KMeans(4, seed=seed).fit(encoding)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(_Tuples, "sq_dists", blas_sq_dists)
-        held = KMeans(4, seed=seed).fit(X)
+        held = KMeans(4, seed=seed).fit(encoding)
     assert np.array_equal(new.labels, held.labels)
     assert new.n_iter == held.n_iter
     assert np.allclose(new.centers, held.centers, rtol=0.0, atol=1e-12)
@@ -538,29 +459,28 @@ def test_fit_matches_the_blas_fit_on_separated_blobs(seed):
 
 @st.composite
 def fit_input(draw):
-    """(X or encoding, k): one-hot codes with missing values, a single
-    distinct tuple, heavy repeats, or all-distinct random floats; k may
+    """(encoding, k): one-hot codes with missing values, a single
+    distinct tuple, heavy repeats (rows drawn from two code rows), or
+    all-distinct rows (each its own code in the first attribute); k may
     exceed the rows."""
-    kind = draw(st.sampled_from(("codes", "one tuple", "repeats", "floats")))
+    kind = draw(st.sampled_from(("codes", "one tuple", "repeats", "distinct")))
     n = draw(st.integers(1, 50))
     k = draw(st.integers(1, 9))
-    if kind == "codes":
-        columns = draw(code_columns(n))
-        return one_hot_encode(code_view(columns, n), list(columns)), k
     if kind == "one tuple":
         columns = {"a": (np.full(n, draw(st.integers(-1, 2)),
                                  dtype=np.int32), 3),
                    "b": (np.full(n, 1, dtype=np.int32), 2)}
-        return one_hot_encode(code_view(columns, n), ["a", "b"]), k
-    d = draw(st.integers(1, 4))
-    if kind == "repeats":
-        pool = np.array(draw(st.lists(floats, min_size=2 * d,
-                                      max_size=2 * d))).reshape(2, d)
-        picks = draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
-        return pool[picks], k
-    return np.array(draw(st.lists(
-        floats, min_size=n * d, max_size=n * d,
-    ))).reshape(n, d), k
+    elif kind == "repeats":
+        picks = np.array(draw(st.lists(
+            st.integers(0, 1), min_size=n, max_size=n,
+        )))
+        columns = {name: (codes[picks], w)
+                   for name, (codes, w) in draw(code_columns(2)).items()}
+    else:
+        columns = draw(code_columns(n))
+        if kind == "distinct":
+            columns["a0"] = (np.arange(n, dtype=np.int32), n)
+    return one_hot_encode(code_view(columns, n), list(columns)), k
 
 
 def assert_same_rng(a, b):
@@ -627,7 +547,7 @@ class TestTupleFit:
         codes = {f"a{i}": (rows[:, i], 40) for i in range(20)}
         encoding = one_hot_encode(code_view(codes, 60), list(codes))
         fit = KMeans(3, seed=0).fit(encoding)
-        tuples = kmeans_module._EncodedTuples(encoding)
+        tuples = _Tuples(encoding)
         assert tuples.m == len(np.unique(pool, axis=0))
         assert_same_fit(fit, kmeans_reference(KMeans(3, seed=0), encoding))
 

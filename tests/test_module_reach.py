@@ -1,4 +1,5 @@
-"""Every ``repro`` module has a user outside the tests.
+"""Every ``repro`` module, and every public name in one, has a user
+outside the tests.
 
 A module that only tests import is code no statement, CLI command,
 bench, example or tool runs.  This walks the imports of every Python
@@ -8,6 +9,14 @@ each non-package ``repro`` module to be imported by a file other than
 its own.  A package ``__init__`` re-exporting a name is not a user:
 ``from repro.core import DBExplorer`` counts for the module that
 defines ``DBExplorer``, found by following the package's own imports.
+
+The same holds for each public function, class and method defined
+under ``src/repro``: some file of those roots must load its name, read
+it as an attribute, import it (outside a package ``__init__``) or
+spell it in a string, as ``perfbench/tracing.py`` spells the entry
+points it wraps.  An ``__all__`` entry is not a use.  Names are matched
+bare, so a method counts as used wherever an attribute of its name is
+read.
 """
 
 from __future__ import annotations
@@ -25,9 +34,21 @@ USER_ROOTS = ("src/repro", "benchmarks", "perfbench", "examples", "tools")
 # only shrink: deleting one of these modules, or giving it a user,
 # means removing it here.
 TEST_ONLY = {
-    "repro.clustering.model_selection",
     "repro.facets.ranking",
     "repro.query.join",
+}
+
+# Public functions, classes and methods that only tests use; shrink-only
+# like TEST_ONLY.
+TEST_ONLY_NAMES = {
+    "AttributePreference", "CompositePreference", "categorical_names",
+    "concat", "conditional", "cube", "edge_strength", "evaluated",
+    "facet_values", "fired", "group_count", "hash_join", "hidden_names",
+    "incarnations", "index_of", "is_degraded", "is_partial", "label_of",
+    "neighbors", "numeric_names", "operation_count", "random_subsets",
+    "rank_facets", "refine", "render_cadview_markdown", "sample_codes",
+    "selectivity", "significant", "timed", "to_csv_string",
+    "toggle_phase", "top_values", "total_counter",
 }
 
 
@@ -103,6 +124,30 @@ def _reached() -> Set[str]:
     return reached
 
 
+def _used_names(path: Path) -> Iterator[str]:
+    """Every name the file at ``path`` loads, reads, imports or spells."""
+    tree = _tree(path)
+    exported = {
+        id(node)
+        for assign in ast.walk(tree)
+        if isinstance(assign, ast.Assign)
+        and any(isinstance(t, ast.Name) and t.id == "__all__"
+                for t in assign.targets)
+        for node in ast.walk(assign.value)
+    }
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            yield node.id
+        elif (isinstance(node, ast.Attribute)
+              and isinstance(node.ctx, ast.Load)):
+            yield node.attr
+        elif isinstance(node, ast.ImportFrom) and path.name != "__init__.py":
+            yield from (alias.name for alias in node.names)
+        elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
+              and node.value.isidentifier() and id(node) not in exported):
+            yield node.value
+
+
 def test_every_module_has_a_user_outside_tests():
     reached = _reached()
     unused = {
@@ -113,4 +158,24 @@ def test_every_module_has_a_user_outside_tests():
     assert unused == TEST_ONLY, (
         f"imported only by tests: {sorted(unused - TEST_ONLY)}; "
         f"no longer test-only: {sorted(TEST_ONLY - unused)}"
+    )
+
+
+def test_every_public_name_has_a_user_outside_tests():
+    defined = {
+        node.name
+        for path in MODULES.values()
+        for node in ast.walk(_tree(path))
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.ClassDef))
+        and not node.name.startswith("_")
+    }
+    used = set()
+    for root in USER_ROOTS:
+        for path in (REPO / root).rglob("*.py"):
+            used.update(_used_names(path))
+    unused = defined - used
+    assert unused == TEST_ONLY_NAMES, (
+        f"used only by tests: {sorted(unused - TEST_ONLY_NAMES)}; "
+        f"no longer test-only: {sorted(TEST_ONLY_NAMES - unused)}"
     )
