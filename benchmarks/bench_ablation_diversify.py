@@ -6,7 +6,7 @@ selection (can be arbitrarily bad).  This bench quantifies both on real
 candidate IUnit sets from the used-car data:
 
 * redundancy = number of displayed IUnit pairs with similarity >= tau;
-* objective  = total preference score of the selected set.
+* objective  = total score (cluster size) of the selected set.
 """
 
 from itertools import combinations
@@ -16,8 +16,7 @@ import pytest
 
 from repro import CADViewBuilder, CADViewConfig
 from repro.iunits import (
-    SizePreference, div_astar, div_greedy, iunit_similarity,
-    similarity_graph,
+    div_astar, div_greedy, iunit_similarity, similarity_graph,
 )
 from bench_fig8_worst_case import MAKES, result_of_size
 

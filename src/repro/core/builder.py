@@ -61,7 +61,6 @@ from repro.features.selection import (
 from repro.iunits.diversify import diversified_topk
 from repro.iunits.iunit import IUnit
 from repro.iunits.labeling import LabelingConfig, build_iunits
-from repro.iunits.ranking import PreferenceFunction
 from repro.iunits.similarity import default_tau
 from repro.obs.metrics import registry
 from repro.obs.tracer import Tracer
@@ -84,30 +83,27 @@ class CADViewBuilder:
     >>> builder = CADViewBuilder(CADViewConfig(compare_limit=5, iunits_k=3))
     >>> cad = builder.build(result, pivot="Make", pinned=("Price",))
 
-    A builder-level ``budget`` / ``faults`` applies to every build; the
-    per-call parameters of :meth:`build` and :meth:`refine` override it.
+    The ``budget`` and ``faults`` given here apply to every build.
     """
 
     def __init__(
         self,
         config: CADViewConfig = CADViewConfig(),
         selector: Optional[FeatureSelector] = None,
-        preference: Optional[PreferenceFunction] = None,
         budget: Optional[Budget] = None,
         faults: Optional[FaultInjector] = None,
     ):
         self.config = config
         self.selector = selector
-        self.preference = preference
         self.budget = budget
         self.faults = faults
 
     # -- public API -------------------------------------------------------
 
     def _default_faults(self) -> FaultInjector:
-        """The injector for builds that were not handed one explicitly.
+        """The builder's injector, when it was handed one.
 
-        Falls back to the ``REPRO_FAULTS`` environment variable — the
+        Else falls back to the ``REPRO_FAULTS`` environment variable — the
         same switch :class:`~repro.core.explorer.DBExplorer` honors —
         so direct-builder workloads (the benches) can have latency or
         failure faults injected without code changes.
@@ -124,8 +120,6 @@ class CADViewBuilder:
         pinned: Sequence[str] = (),
         name: str = "cadview",
         exclude: Sequence[str] = (),
-        budget: Optional[Budget] = None,
-        faults: Optional[FaultInjector] = None,
         tracer: Optional[Tracer] = None,
         cancel: Optional[CancelToken] = None,
     ) -> CADView:
@@ -148,11 +142,6 @@ class CADViewBuilder:
             Attributes never to auto-select (e.g. attributes already
             pinned by WHERE equality selections, which carry a single
             value in ``R`` and hence zero contrast).
-        budget:
-            Wall-clock/row limits for this build (overrides the
-            builder-level budget).
-        faults:
-            Fault-injection plan for this build (tests only).
         tracer:
             An existing :class:`~repro.obs.Tracer` to nest this build's
             span tree under (``EXPLAIN ANALYZE`` and the CLI's
@@ -165,8 +154,8 @@ class CADViewBuilder:
             of degrading (the serving watchdog's hook).
         """
         config = self.config
-        budget = budget if budget is not None else self.budget
-        faults = faults if faults is not None else self._default_faults()
+        budget = self.budget
+        faults = self._default_faults()
         clock = (budget or Budget()).begin(cancel)
         profile = BuildProfile()
         own_tracer = tracer is None
@@ -260,84 +249,6 @@ class CADViewBuilder:
         if report.retries:
             reg.counter("build.retries").inc(len(report.retries))
         reg.histogram("build.latency_s").observe(report.elapsed_s)
-
-    def refine(
-        self,
-        cad: CADView,
-        extra_predicate,
-        name: Optional[str] = None,
-        budget: Optional[Budget] = None,
-        faults: Optional[FaultInjector] = None,
-        tracer: Optional[Tracer] = None,
-        cancel: Optional[CancelToken] = None,
-    ) -> CADView:
-        """Incrementally refine a view after the user narrows the query.
-
-        Applies ``extra_predicate`` to the view's underlying result and
-        rebuilds only the per-pivot-value clustering — the context
-        (discretization bins, label domains) and the Compare Attributes
-        are reused, which keeps successive views comparable while the
-        user drills down and skips the two selection phases entirely.
-
-        Pivot values left with no tuples drop out of the refined view.
-        The same budget/degradation machinery as :meth:`build` applies
-        to the clustering loop.
-        """
-        config = self.config
-        budget = budget if budget is not None else self.budget
-        faults = faults if faults is not None else self._default_faults()
-        clock = (budget or Budget()).begin(cancel)
-        profile = BuildProfile()
-        own_tracer = tracer is None
-        tracer = tracer if tracer is not None else Tracer("cadview")
-        report = BuildReport(budget=budget, profile=profile, tracer=tracer)
-        old_view = cad.view
-        try:
-            with tracer.span(
-                "cadview.refine", view=name or cad.name,
-                pivot=cad.pivot_attribute,
-            ) as refine_span:
-                report.trace = refine_span
-                with tracer.span(
-                    "restrict", bucket="others", profile=profile
-                ) as sp:
-                    mask = extra_predicate.mask(old_view.table)
-                    if not mask.any():
-                        raise EmptyResultError(
-                            "refinement predicate matches no tuples"
-                        )
-                    view = old_view.restrict(mask)
-                    present = view.value_counts(cad.pivot_attribute)
-                    values = [v for v in cad.pivot_values if v in present]
-                    if not values:
-                        raise EmptyResultError(
-                            "no pivot value survives the refinement"
-                        )
-                    sp.set_attr("rows", len(view))
-                    sp.set_attr("pivot_values", len(values))
-
-                compare = list(cad.compare_attributes)
-                labeling = LabelingConfig(
-                    max_display=config.max_display,
-                    alpha=config.label_alpha,
-                    min_share=config.min_share,
-                )
-                tau = default_tau(len(compare), config.tau_alpha)
-                l = config.effective_l(len(view))
-                kept, rows, candidates = self._build_rows(
-                    view, cad.pivot_attribute, values, compare, labeling,
-                    tau, l, profile, clock, faults, report, tracer,
-                )
-                report.elapsed_s = clock.elapsed()
-                refine_span.set_attr("values_built", len(kept))
-        finally:
-            if own_tracer:
-                tracer.finish()
-        self._record_build_metrics(report)
-        return CADView(
-            name or cad.name, cad.pivot_attribute, kept, compare, rows,
-            view, config, profile, candidates, report,
-        )
 
     # -- phases ---------------------------------------------------------------
 
@@ -700,7 +611,6 @@ class CADViewBuilder:
                 cands,
                 config.iunits_k,
                 tau,
-                self.preference,
                 exact=exact,
                 checkpoint=clock.checkpoint("topk"),
                 tracer=tracer,
@@ -710,6 +620,5 @@ class CADViewBuilder:
                 "topk", "exact", "greedy", "deadline mid-search"
             )
             return diversified_topk(
-                cands, config.iunits_k, tau, self.preference, exact=False,
-                tracer=tracer,
+                cands, config.iunits_k, tau, exact=False, tracer=tracer,
             )

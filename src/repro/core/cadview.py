@@ -143,16 +143,6 @@ class CADView:
             report = BuildReport(profile=self.profile)
         self.report = report
 
-    @property
-    def is_partial(self) -> bool:
-        """True when the build dropped at least one pivot value."""
-        return self.report.partial
-
-    @property
-    def is_degraded(self) -> bool:
-        """True when any phase ran below its exact algorithm."""
-        return self.report.degraded
-
     # -- lookups ----------------------------------------------------------
 
     @property

@@ -643,7 +643,9 @@ def _sort_iunits(cad: CADView, keys: Tuple[OrderKey, ...]) -> CADView:
     """Re-rank each row's IUnits by ORDER BY keys (paper Sec. 2.1.2).
 
     Keys must be binned numeric Compare Attributes; IUnits sort on the
-    frequency-weighted mean bin midpoint.
+    frequency-weighted mean bin midpoint.  An IUnit with no value on a
+    key sorts as a missing value does in a SELECT: last under ASC,
+    first under DESC.
     """
     midpoint_cache: Dict[str, np.ndarray] = {}
     for key in keys:

@@ -8,10 +8,8 @@ and "others" (top-k ranking, IUnit and attribute-value similarity).
 
 from __future__ import annotations
 
-import time
-from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Dict, Iterator
+from typing import Dict
 
 __all__ = ["BuildProfile"]
 
@@ -59,15 +57,6 @@ class BuildProfile:
         """
         key = name if name.startswith("count/") else f"count/{name}"
         self.extra[key] = self.extra.get(key, 0.0) + n
-
-    @contextmanager
-    def timed(self, bucket: str) -> Iterator[None]:
-        """Accumulate the elapsed time of the with-block into ``bucket``."""
-        start = time.perf_counter()
-        try:
-            yield
-        finally:
-            self.record(bucket, time.perf_counter() - start)
 
     def as_dict(self) -> Dict[str, float]:
         """All buckets plus the total, as a plain dict."""

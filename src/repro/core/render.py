@@ -15,7 +15,7 @@ from typing import Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.core.cadview import CADView, IUnitRef
 
-__all__ = ["render_cadview", "render_cadview_markdown"]
+__all__ = ["render_cadview"]
 
 
 def _wrap(text: str, width: int) -> List[str]:
@@ -132,53 +132,4 @@ def render_cadview(
         lines.append(hline())
     if show_report and not cad.report.clean:
         lines.extend(f"-- build report: {l}" for l in cad.report.lines())
-    return "\n".join(lines)
-
-
-def render_cadview_markdown(
-    cad: CADView,
-    highlight: Optional[Iterable[IUnitRef]] = None,
-) -> str:
-    """Render ``cad`` as a GitHub-flavored markdown table.
-
-    One row per (pivot value, Compare Attribute); IUnit cells carry the
-    bracketed labels; highlighted IUnits are bolded.
-    """
-    highlighted: Set[Tuple[str, int]] = {
-        (ref.pivot_value, ref.iunit_id) for ref in (highlight or [])
-    }
-    k = max((len(r) for r in cad.rows.values()), default=0)
-    header = (
-        [cad.pivot_attribute, "Compare Attr."]
-        + [f"IUnit {i + 1}" for i in range(k)]
-    )
-    lines = [
-        "| " + " | ".join(header) + " |",
-        "|" + "|".join(["---"] * len(header)) + "|",
-    ]
-    for value in cad.pivot_values:
-        units = cad.rows[value]
-        size_cells = []
-        for j in range(k):
-            if j < len(units):
-                u = units[j]
-                text = f"(n={u.size})"
-                if (value, u.uid) in highlighted:
-                    text = f"**{text}**"
-                size_cells.append(text)
-            else:
-                size_cells.append("")
-        lines.append(
-            "| **" + value + "** | | " + " | ".join(size_cells) + " |"
-        )
-        for attr in cad.compare_attributes:
-            cells = []
-            for j in range(k):
-                if j < len(units):
-                    cells.append(units[j].label_text(attr))
-                else:
-                    cells.append("")
-            lines.append(
-                "| | " + attr + " | " + " | ".join(cells) + " |"
-            )
     return "\n".join(lines)

@@ -16,12 +16,6 @@ from repro.iunits.labeling import (
     build_iunits,
     representative_values,
 )
-from repro.iunits.ranking import (
-    AttributePreference,
-    CompositePreference,
-    PreferenceFunction,
-    SizePreference,
-)
 from repro.iunits.similarity import (
     default_tau,
     iunit_similarity,
@@ -32,8 +26,6 @@ __all__ = [
     "IUnit",
     "LabelingConfig", "build_iunits",
     "representative_values",
-    "PreferenceFunction", "SizePreference", "AttributePreference",
-    "CompositePreference",
     "similarity_graph", "div_astar", "div_greedy", "diversified_topk",
     "iunit_similarity", "default_tau",
     "ranked_list_distance",

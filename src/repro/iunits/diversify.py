@@ -21,7 +21,6 @@ import numpy as np
 
 from repro.errors import CADViewError
 from repro.iunits.iunit import IUnit
-from repro.iunits.ranking import PreferenceFunction, SizePreference
 from repro.iunits.similarity import similarity_matrix
 from repro.obs import work
 from repro.obs.tracer import NULL_TRACER, Tracer
@@ -167,32 +166,24 @@ def diversified_topk(
     iunits: Sequence[IUnit],
     k: int,
     tau: float,
-    preference: Optional[PreferenceFunction] = None,
     exact: bool = True,
     checkpoint: Optional[Callable[[], None]] = None,
     tracer: Optional[Tracer] = None,
 ) -> List[IUnit]:
     """Problem 2 end-to-end: score, build the similarity graph, solve.
 
-    Returns at most ``k`` IUnits, highest score first, each stamped with
-    its 1-based ``uid``.  ``checkpoint`` reaches the exact solver only —
-    the greedy baseline is the cheap fallback a budgeted caller degrades
-    to, so it must always run to completion.  A ``tracer`` counts
-    candidates in, similarity pairs compared, search nodes expanded and
-    IUnits pruned away.
+    The score is cluster size, the paper's system default preference
+    (Sec. 3.2).  Returns at most ``k`` IUnits, largest first, each
+    stamped with its 1-based ``uid``.  ``checkpoint`` reaches the exact
+    solver only — the greedy baseline is the cheap fallback a budgeted
+    caller degrades to, so it must always run to completion.  A
+    ``tracer`` counts candidates in, similarity pairs compared, search
+    nodes expanded and IUnits pruned away.
     """
     if not iunits:
         return []
     tracer = tracer or NULL_TRACER
-    preference = preference or SizePreference()
-    raw = np.array([preference.score(u) for u in iunits], dtype=float)
-    # shift to strictly positive when needed (preferences like ascending
-    # price are negative); keep every candidate worth selecting
-    finite = raw[np.isfinite(raw)]
-    floor = float(finite.min()) if finite.size else 0.0
-    if floor <= 0.0:
-        raw = np.where(np.isfinite(raw), raw - floor + 1.0, 0.0)
-    scores = np.where(np.isfinite(raw), raw, 0.0)
+    scores = np.array([u.size for u in iunits], dtype=float)
     tracer.inc("candidates_in", len(iunits))
     tracer.inc("similarity_pairs", len(iunits) * (len(iunits) - 1) // 2)
     adj = similarity_graph(iunits, tau)

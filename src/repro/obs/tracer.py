@@ -303,8 +303,8 @@ class Tracer:
         buckets (``compare_attrs`` / ``iunits`` / ``others``); when a
         ``profile`` (:class:`~repro.core.profile.BuildProfile`) is also
         given, the span's duration is recorded into that bucket on
-        close — including when the block raises, matching the legacy
-        ``profile.timed`` semantics.
+        close — including when the block raises.  This is the one phase
+        timer the builder uses.
         """
         parent = self.current
         child = Span(name, bucket=bucket, **attrs)
@@ -373,8 +373,8 @@ class NullTracer(Tracer):
 
     @contextmanager
     def span(self, name, bucket=None, profile=None, **attrs):
-        # keep the profile-feeding contract: legacy buckets must fill
-        # even when nobody asked for a trace
+        # keep the profile-feeding contract: the buckets must fill even
+        # when nobody asked for a trace
         if profile is not None and bucket is not None:
             start = time.perf_counter()
             try:

@@ -151,7 +151,9 @@ class QueryEngine:
     ) -> Table:
         """Stable multi-key sort of ``table`` rows.
 
-        Categorical keys sort by value string; missing values sort last.
+        Categorical keys sort by value string.  Missing values sort
+        last under an ascending key and first under a descending one,
+        which reverses the stable ascending order.
         """
         return table.take(
             _order_rows(table, np.arange(len(table)), by, ascending)

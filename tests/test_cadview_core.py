@@ -7,7 +7,7 @@ from repro import (
     CADViewBuilder, CADViewConfig, EmptyResultError, IUnitRef,
 )
 from repro.errors import CADViewError, UnknownAttributeError
-from repro.iunits import AttributePreference, iunit_similarity
+from repro.iunits import iunit_similarity
 from repro.query import QueryEngine, parse_predicate
 
 MARY = (
@@ -122,24 +122,6 @@ class TestBuilder:
     def test_unknown_pivot_raises(self, result):
         with pytest.raises(UnknownAttributeError):
             CADViewBuilder().build(result, pivot="bogus")
-
-    def test_preference_changes_ranking(self, result):
-        by_size = CADViewBuilder(CADViewConfig(seed=5)).build(
-            result, pivot="Make"
-        )
-        pref_builder = CADViewBuilder(
-            CADViewConfig(seed=5),
-            preference=None,
-        )
-        cad2 = pref_builder.build(result, pivot="Make")
-        # same config+seed: identical; now with ascending price preference
-        price_pref = AttributePreference(cad2.view, "Price", ascending=True)
-        builder3 = CADViewBuilder(CADViewConfig(seed=5), preference=price_pref)
-        cad3 = builder3.build(result, pivot="Make")
-        # the first IUnit under ascending price is the cheapest cluster
-        for v in cad3.pivot_values:
-            scores = [price_pref.score(u) for u in cad3.rows[v]]
-            assert scores == sorted(scores, reverse=True)
 
     def test_fs_sample_keeps_top_attribute(self, result):
         plain = CADViewBuilder(CADViewConfig(seed=3)).build(result, "Make")

@@ -3,6 +3,7 @@
 import pytest
 
 from repro import CADView, CADViewConfig, DBExplorer, Table
+from repro.dataset import AttrKind, Attribute, Schema
 from repro.errors import CADViewError, QueryError
 
 PAPER_CADVIEW = """
@@ -137,6 +138,38 @@ class TestCreateCadView:
                 "FROM UsedCars WHERE BodyType = SUV LIMIT COLUMNS 2 "
                 "ORDER BY FuelEconomy ASC"
             )
+
+    def test_order_by_sorts_a_keyless_iunit_like_a_missing_value(self):
+        # one cluster (kind = u) has no x at all: its IUnit ranks last
+        # under ASC and first under DESC, as a missing x does in SELECT
+        schema = Schema([
+            Attribute("grp", AttrKind.CATEGORICAL),
+            Attribute("kind", AttrKind.CATEGORICAL),
+            Attribute("x", AttrKind.NUMERIC),
+        ])
+        rows = (
+            [{"grp": "g", "kind": "u", "x": None}] * 10
+            + [{"grp": "g", "kind": "v", "x": 5.0 + i} for i in range(10)]
+            + [{"grp": "g", "kind": "w", "x": 90.0 + i} for i in range(10)]
+        )
+        dbx = DBExplorer(CADViewConfig(seed=0))
+        dbx.register("t", Table.from_rows(schema, rows))
+        for direction, slot in (("ASC", -1), ("DESC", 0)):
+            cad = dbx.execute(
+                f"CREATE CADVIEW m AS SET pivot = grp SELECT x, kind "
+                f"FROM t LIMIT COLUMNS 2 IUNITS 3 ORDER BY x {direction}"
+            )
+            units = cad.rows["g"]
+            assert len(units) == 3
+            keyless = [u for u in units if u.distributions["x"].sum() == 0]
+            assert keyless == [units[slot]]
+            assert units[slot].display["kind"] == ("u",)
+            xs = [
+                r["x"] for r in dbx.execute(
+                    f"SELECT x FROM t ORDER BY x {direction}"
+                ).iter_rows()
+            ]
+            assert xs[slot] is None
 
 
 class TestSimilaritySearch:

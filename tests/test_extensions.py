@@ -1,13 +1,13 @@
 """Tests for the extension batch: catalog statements, workload
-generation, incremental refinement, hierarchical clustering."""
+generation, hierarchical clustering."""
 
 import numpy as np
 import pytest
 
-from repro import CADViewBuilder, CADViewConfig, DBExplorer
+from repro import CADViewConfig, DBExplorer
 from repro.clustering import agglomerative
-from repro.errors import CADViewError, EmptyResultError, ParseError, QueryError
-from repro.query import Cmp, QueryEngine, parse, parse_predicate
+from repro.errors import CADViewError, ParseError, QueryError
+from repro.query import parse
 from repro.query.ast import (
     DescribeStatement, DropCadViewStatement, ShowCadViewsStatement,
 )
@@ -89,46 +89,6 @@ class TestWorkload:
         qs = random_conjunctive_queries(cars, 10, seed=5)
         for q in qs:
             assert "Engine" not in q.predicate.attributes()
-
-
-class TestRefine:
-    @pytest.fixture(scope="class")
-    def built(self, cars):
-        result = QueryEngine.select(cars, parse_predicate("BodyType = SUV"))
-        builder = CADViewBuilder(CADViewConfig(seed=1))
-        cad = builder.build(result, "Make", exclude=("BodyType",))
-        return builder, cad
-
-    def test_refine_preserves_context(self, built):
-        builder, cad = built
-        refined = builder.refine(cad, Cmp("Price", "<", 25_000))
-        assert refined.compare_attributes == cad.compare_attributes
-        for attr in cad.compare_attributes:
-            assert refined.view.labels(attr) == cad.view.labels(attr)
-
-    def test_refine_shrinks_rows(self, built):
-        builder, cad = built
-        refined = builder.refine(cad, Cmp("Price", "<", 25_000))
-        assert len(refined.view) < len(cad.view)
-        for value in refined.pivot_values:
-            total = sum(u.size for u in refined.candidates[value])
-            assert total <= sum(u.size for u in cad.candidates[value])
-
-    def test_refine_drops_empty_pivot_values(self, built):
-        builder, cad = built
-        # luxury makes vanish under a harsh price cap
-        refined = builder.refine(cad, Cmp("Price", "<", 12_000))
-        assert set(refined.pivot_values) < set(cad.pivot_values)
-
-    def test_refine_skips_feature_selection(self, built):
-        builder, cad = built
-        refined = builder.refine(cad, Cmp("Price", "<", 25_000))
-        assert refined.profile.compare_attrs_s == 0.0
-
-    def test_refine_empty_raises(self, built):
-        builder, cad = built
-        with pytest.raises(EmptyResultError):
-            builder.refine(cad, Cmp("Price", "<", 0))
 
 
 class TestAgglomerative:

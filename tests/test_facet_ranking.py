@@ -1,12 +1,8 @@
-"""Unit tests for facet ordering and the markdown renderer."""
+"""Unit tests for facet ordering."""
 
 import pytest
 
-from repro import CADViewBuilder, CADViewConfig
-from repro.core import render_cadview_markdown
-from repro.core.cadview import IUnitRef
 from repro.facets import FacetedEngine, rank_facets
-from repro.query import QueryEngine, parse_predicate
 
 
 @pytest.fixture(scope="module")
@@ -47,35 +43,3 @@ class TestRankFacets:
         ranks = rank_facets(e)
         names = [r.attribute for r in ranks]
         assert "Price" in names and "Mileage" in names
-
-
-class TestMarkdownRender:
-    @pytest.fixture(scope="class")
-    def cad(self, cars):
-        result = QueryEngine.select(
-            cars, parse_predicate("BodyType = SUV AND Make IN (Jeep, Ford)")
-        )
-        return CADViewBuilder(CADViewConfig(seed=2)).build(
-            result, "Make", exclude=("BodyType",)
-        )
-
-    def test_structure(self, cad):
-        text = render_cadview_markdown(cad)
-        lines = text.splitlines()
-        assert lines[0].startswith("| Make |")
-        assert set(lines[1].replace("|", "").strip()) <= {"-", " "}
-        # every line has the same number of columns
-        n_cols = lines[0].count("|")
-        assert all(line.count("|") == n_cols for line in lines)
-
-    def test_values_and_attrs_present(self, cad):
-        text = render_cadview_markdown(cad)
-        assert "**Jeep**" in text and "**Ford**" in text
-        for attr in cad.compare_attributes:
-            assert f"| {attr} |" in text
-
-    def test_highlight_bolds(self, cad):
-        v = cad.pivot_values[0]
-        text = render_cadview_markdown(cad, highlight=[IUnitRef(v, 1)])
-        u = cad.iunit(v, 1)
-        assert f"**(n={u.size})**" in text

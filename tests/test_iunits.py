@@ -1,4 +1,4 @@
-"""Unit tests for IUnit construction, labeling, and preferences."""
+"""Unit tests for IUnit construction and labeling."""
 
 import numpy as np
 import pytest
@@ -6,11 +6,8 @@ import pytest
 from repro.discretize import Discretizer
 from repro.errors import CADViewError
 from repro.iunits import (
-    AttributePreference,
-    CompositePreference,
     IUnit,
     LabelingConfig,
-    SizePreference,
     build_iunits,
     representative_values,
 )
@@ -115,6 +112,17 @@ class TestLabelCluster:
         assert len(units) == 2
         assert sum(u.size for u in units) == 6
 
+    def test_skipped_id_gives_no_empty_iunit(self, toy_table):
+        # diversified_topk scores candidates by size with no floor: an
+        # id no row carries (an emptied k-means cluster) must not come
+        # back as a size-0 IUnit
+        view = Discretizer().fit(toy_table)
+        labels = np.array([0, 2, 0, 2, 2, 0, 2, 2])
+        units = build_iunits(view, labels, "city", "all", ["stars"])
+        sizes = [u.size for u in units]
+        assert len(sizes) == 2 and 0 not in sizes
+        assert sum(sizes) == len(labels)
+
     def test_distribution_matches_counts(self, toy_table):
         view = Discretizer().fit(toy_table)
         labels = np.zeros(len(toy_table), dtype=int)
@@ -122,38 +130,3 @@ class TestLabelCluster:
         counts = view.value_counts("city")
         for code, label in enumerate(view.labels("city")):
             assert unit.distributions["city"][code] == counts.get(label, 0)
-
-
-class TestPreferences:
-    def test_size_preference(self):
-        small, big = make_iunit(size=5), make_iunit(size=50)
-        pref = SizePreference()
-        assert pref(big) > pref(small)
-
-    def test_attribute_preference_ascending(self, toy_table):
-        view = Discretizer(nbins=3).fit(toy_table)
-        mask_cheap = view.codes("price") == 0
-        mask_rich = view.codes("price") == view.ncodes("price") - 1
-        cheap = one_cluster(view, mask_cheap, "x", ["price"])
-        rich = one_cluster(view, mask_rich, "x", ["price"])
-        asc = AttributePreference(view, "price", ascending=True)
-        assert asc(cheap) > asc(rich)
-        desc = AttributePreference(view, "price", ascending=False)
-        assert desc(rich) > desc(cheap)
-
-    def test_attribute_preference_needs_binned(self, toy_table):
-        view = Discretizer().fit(toy_table)
-        with pytest.raises(CADViewError):
-            AttributePreference(view, "city")
-
-    def test_composite(self):
-        small, big = make_iunit(size=5), make_iunit(size=50)
-        pref = CompositePreference([SizePreference()], weights=[2.0])
-        assert pref(big) == 100.0
-        assert pref(small) == 10.0
-
-    def test_composite_validation(self):
-        with pytest.raises(CADViewError):
-            CompositePreference([])
-        with pytest.raises(CADViewError):
-            CompositePreference([SizePreference()], weights=[1.0, 2.0])

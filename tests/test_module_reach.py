@@ -41,14 +41,12 @@ TEST_ONLY = {
 # Public functions, classes and methods that only tests use; shrink-only
 # like TEST_ONLY.
 TEST_ONLY_NAMES = {
-    "AttributePreference", "CompositePreference", "categorical_names",
-    "concat", "conditional", "cube", "edge_strength", "evaluated",
-    "facet_values", "fired", "group_count", "hash_join", "hidden_names",
-    "incarnations", "index_of", "is_degraded", "is_partial", "label_of",
+    "categorical_names", "concat", "conditional", "cube",
+    "edge_strength", "evaluated", "facet_values", "fired", "group_count",
+    "hash_join", "hidden_names", "incarnations", "index_of", "label_of",
     "neighbors", "numeric_names", "operation_count", "random_subsets",
-    "rank_facets", "refine", "render_cadview_markdown", "sample_codes",
-    "selectivity", "significant", "timed", "to_csv_string",
-    "toggle_phase", "top_values", "total_counter",
+    "rank_facets", "sample_codes", "selectivity", "significant",
+    "to_csv_string", "toggle_phase", "top_values", "total_counter",
 }
 
 

@@ -60,15 +60,12 @@ class TestOptimizedBuildEquivalence:
 class TestBuildProfile:
     def test_buckets_accumulate(self):
         p = BuildProfile()
-        with p.timed("compare_attrs"):
-            pass
-        with p.timed("iunits"):
-            pass
-        with p.timed("others"):
-            pass
-        with p.timed("custom_phase"):
-            pass
-        assert p.compare_attrs_s >= 0
+        p.record("compare_attrs", 0.1)
+        p.record("iunits", 0.2)
+        p.record("others", 0.3)
+        p.record("custom_phase", 0.4)
+        p.record("compare_attrs", 0.05)
+        assert p.compare_attrs_s == pytest.approx(0.15)
         # unknown buckets land in the explicit time/ namespace so they
         # can never collide with count/ entries
         assert "time/custom_phase" in p.extra
@@ -90,10 +87,3 @@ class TestBuildProfile:
         d = p.as_dict()
         assert d["total_s"] == pytest.approx(0.6)
         assert "total=" in str(p)
-
-    def test_timed_reraises(self):
-        p = BuildProfile()
-        with pytest.raises(ValueError):
-            with p.timed("iunits"):
-                raise ValueError("boom")
-        assert p.iunits_s >= 0  # still recorded

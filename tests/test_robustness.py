@@ -27,7 +27,6 @@ from repro import (
 )
 from repro.dataset import AttrKind, Attribute, Schema
 from repro.errors import CADViewError, ConvergenceError, EmptyResultError
-from repro.query.predicates import Ne
 from repro.robustness import Fault, NO_FAULTS
 from repro.robustness.faults import _parse_fault
 
@@ -187,7 +186,7 @@ class TestDegradationLadder:
     def test_clean_build_has_clean_report(self):
         cad = self.build()
         assert cad.report.clean
-        assert not cad.is_partial and not cad.is_degraded
+        assert not cad.report.partial and not cad.report.degraded
         assert cad.report.elapsed_s > 0.0
 
     def test_convergence_retry_then_succeed(self):
@@ -219,7 +218,7 @@ class TestDegradationLadder:
         assert cad.report.dropped_values == ["p1"]
         assert len(cad.report.incidents) == 1
         assert cad.report.incidents[0].pivot_value == "p1"
-        assert cad.is_partial
+        assert cad.report.partial
 
     def test_empty_partition_isolated(self):
         faults = FaultInjector({"cluster:p2": "empty"})
@@ -239,7 +238,7 @@ class TestDegradationLadder:
         assert any(
             i.phase == "feature_selection" for i in cad.report.incidents
         )
-        assert not cad.is_partial  # the view itself is complete
+        assert not cad.report.partial  # the view itself is complete
 
     def test_timeout_mid_clustering_truncates_or_degrades(self):
         # every clustering consult sleeps past the deadline: the first
@@ -251,7 +250,7 @@ class TestDegradationLadder:
         t0 = time.perf_counter()
         try:
             cad = self.build(faults=faults, budget=budget)
-            assert cad.report.degraded or cad.is_partial
+            assert cad.report.degraded or cad.report.partial
             assert len(cad.pivot_values) >= 1
         except BudgetExceededError:
             pass  # acceptable: nothing was built before the deadline
@@ -278,15 +277,7 @@ class TestDegradationLadder:
         faults = FaultInjector({"cluster:p1": "crash"})
         builder = CADViewBuilder(CADViewConfig(seed=0), faults=faults)
         cad = builder.build(small_table(), pivot="pv")
-        assert cad.is_partial
-
-    def test_refine_isolates_faults_too(self):
-        cad = self.build()
-        faults = FaultInjector({"cluster:p0": "crash"})
-        builder = CADViewBuilder(CADViewConfig(seed=0), faults=faults)
-        refined = builder.refine(cad, Ne("c0", "a0"))
-        assert "p0" not in refined.pivot_values
-        assert refined.report.incidents[0].pivot_value == "p0"
+        assert cad.report.partial
 
     def test_zero_retries_budget(self):
         faults = FaultInjector({"cluster:p0": Fault("convergence", times=1)})
@@ -308,7 +299,7 @@ class TestSurfacing:
         dbx = DBExplorer(CADViewConfig(seed=11), faults=faults)
         dbx.register("UsedCars", cars)
         cad = dbx.execute(SQL)
-        assert cad.is_partial
+        assert cad.report.partial
         assert dbx.last_report is cad.report
         assert cad.report.dropped_values == [victim]
         text = dbx.render("V")
@@ -354,7 +345,7 @@ class TestSurfacing:
                 "CREATE CADVIEW B AS SET pivot = Make SELECT Price "
                 "FROM UsedCars LIMIT COLUMNS 5 IUNITS 3"
             )
-            assert cad.report.degraded or cad.is_partial or (
+            assert cad.report.degraded or cad.report.partial or (
                 cad.report.elapsed_s <= 0.05
             )
         except BudgetExceededError:
