@@ -6,8 +6,8 @@ Build order, mirroring the paper's sub-problems:
 2. Problem 1.1 — pick Compare Attributes with chi-square feature
    selection (on a sample when Optimization 1 is enabled).
 3. Problem 1.2 — for each pivot value, cluster its tuples on the
-   Compare Attributes with k-means (one-hot encoding) and label the
-   ``l`` clusters as candidate IUnits.
+   Compare Attributes with k-means (one-hot encoding); then label the
+   ``l`` clusters of every pivot value as candidate IUnits in one pass.
 4. Problem 2 — keep the diversified top-k per pivot value (div-astar).
 
 Every phase is timed into a :class:`BuildProfile` with the same three
@@ -26,8 +26,8 @@ aborting —
 * top-k: exact div-astar -> greedy;
 * per-pivot-value isolation: any other failure is recorded as an
   incident and only that pivot value is dropped;
-* truncation: once the deadline passes, remaining pivot values are
-  dropped and the partial view is returned.
+* truncation: once the deadline passes, the pivot values not yet
+  clustered are dropped and the partial view is returned.
 
 :class:`~repro.errors.BudgetExceededError` escapes only when not even a
 partial view can be produced.  Every step down the ladder is recorded in
@@ -428,20 +428,21 @@ class CADViewBuilder:
     ) -> Tuple[List[str], Dict[str, List[IUnit]], Dict[str, List[IUnit]]]:
         """Problems 1.2 + 2 for every pivot value, with error isolation.
 
-        Returns (kept values, displayed rows, candidate IUnits).  A
-        failing pivot value becomes an incident and is dropped; once the
-        deadline passes the remaining values are truncated.  Raises
-        :class:`BudgetExceededError` only when *nothing* was built
+        Each pivot value is clustered in turn, then every clustered
+        partition is labeled in one :func:`build_iunits` pass, then
+        top-k runs per pivot value.  Returns (kept values, displayed
+        rows, candidate IUnits).  A pivot value that fails to cluster or
+        rank becomes an incident and is dropped; once the deadline
+        passes the values not yet clustered are truncated.  Raises
+        :class:`BudgetExceededError` only when *nothing* was clustered
         before the deadline, and :class:`CADViewError` when every value
         failed.
         """
-        rows: Dict[str, List[IUnit]] = {}
-        candidates: Dict[str, List[IUnit]] = {}
-        kept: List[str] = []
+        clustered: List[Tuple[str, np.ndarray, np.ndarray]] = []
         rng = np.random.default_rng(self.config.seed)
         for i, value in enumerate(values):
             if clock.exceeded():
-                if not kept:
+                if not clustered:
                     clock.check("iunits")  # raises BudgetExceededError
                 self._truncate(values[i:], report)
                 break
@@ -450,19 +451,12 @@ class CADViewBuilder:
                     with tracer.span(
                         "iunits", bucket="iunits", profile=profile
                     ):
-                        cands = self._candidate_iunits(
-                            view, pivot, value, compare, labeling, l, rng,
+                        members, labels = self._cluster(
+                            view, pivot, value, compare, l, rng,
                             clock, faults, report, tracer,
                         )
-                    with tracer.span(
-                        "topk", bucket="others", profile=profile
-                    ):
-                        top = self._topk(
-                            cands, value, tau, clock, faults, report,
-                            tracer,
-                        )
             except BudgetExceededError:
-                if not kept:
+                if not clustered:
                     raise
                 self._truncate(values[i:], report)
                 break
@@ -473,24 +467,56 @@ class CADViewBuilder:
             # repro-lint: ignore[RL004]
             except Exception as exc:
                 # isolation: one bad partition must not kill the view
-                report.record_incident(
-                    "iunits", value, exc, "dropped pivot value"
-                )
-                report.record_dropped(value)
+                self._drop(value, exc, report)
                 continue
-            candidates[value] = cands
-            rows[value] = top
-            kept.append(value)
-        if not kept:
-            detail = "; ".join(str(i) for i in report.incidents)
-            raise CADViewError(
-                f"every pivot value failed to build: {detail}"
-            )
-        return kept, rows, candidates
+            clustered.append((value, members, labels))
+        if not clustered:
+            raise self._every_value_failed(report)
+        with tracer.span(
+            "label", bucket="iunits", profile=profile,
+            partitions=len(clustered),
+        ) as sp:
+            units = build_iunits(view, clustered, pivot, compare, labeling)
+            sp.inc("candidates", len(units))
+        candidates: Dict[str, List[IUnit]] = {
+            value: [] for value, _, _ in clustered
+        }
+        for unit in units:
+            candidates[unit.pivot_value].append(unit)
+        rows: Dict[str, List[IUnit]] = {}
+        for value, cands in candidates.items():
+            try:
+                with tracer.span(
+                    "topk", bucket="others", profile=profile, value=value,
+                ):
+                    rows[value] = self._topk(
+                        cands, value, tau, clock, faults, report, tracer,
+                    )
+            except QueryCancelledError:
+                raise
+            # deliberate blanket: per-pivot isolation, as above
+            # repro-lint: ignore[RL004]
+            except Exception as exc:
+                self._drop(value, exc, report)
+        if not rows:
+            raise self._every_value_failed(report)
+        kept = list(rows)
+        return kept, rows, {value: candidates[value] for value in kept}
+
+    @staticmethod
+    def _drop(value: str, exc: Exception, report: BuildReport) -> None:
+        """Record a failed pivot value as an incident and drop it."""
+        report.record_incident("iunits", value, exc, "dropped pivot value")
+        report.record_dropped(value)
+
+    @staticmethod
+    def _every_value_failed(report: BuildReport) -> CADViewError:
+        detail = "; ".join(str(i) for i in report.incidents)
+        return CADViewError(f"every pivot value failed to build: {detail}")
 
     @staticmethod
     def _truncate(remaining: Sequence[str], report: BuildReport) -> None:
-        """Drop the not-yet-built pivot values at the deadline."""
+        """Drop the not-yet-clustered pivot values at the deadline."""
         for value in remaining:
             report.record_dropped(value)
         report.record_degradation(
@@ -498,25 +524,26 @@ class CADViewBuilder:
             f"truncated:-{len(remaining)}", "deadline reached",
         )
 
-    def _candidate_iunits(
+    def _cluster(
         self,
         view: DiscretizedView,
         pivot: str,
         value: str,
         compare: Sequence[str],
-        labeling: LabelingConfig,
         l: int,
         rng: np.random.Generator,
         clock: BudgetClock,
         faults: FaultInjector,
         report: BuildReport,
         tracer: Tracer,
-    ) -> List[IUnit]:
-        """Problem 1.2 for one pivot value, with the clustering ladder.
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Problem 1.2's clustering for one pivot value, with the ladder.
 
-        Transient :class:`ConvergenceError` is retried with a fresh seed
-        ``budget.retries`` times; exhausted retries or a mid-clustering
-        deadline degrade to a single whole-partition IUnit.
+        Returns the partition's row ids into ``view`` and a cluster id
+        per row.  Transient :class:`ConvergenceError` is retried with a
+        fresh seed ``budget.retries`` times; exhausted retries or a
+        mid-clustering deadline degrade to a single whole-partition
+        cluster.
         """
         code = view.code_of(pivot, value)
         rows = np.flatnonzero(view.codes(pivot) == code)
@@ -544,7 +571,6 @@ class CADViewBuilder:
         k = min(l, len(partition))  # tiny partitions: one tuple per cluster
         checkpoint = clock.checkpoint("cluster")
         retries = clock.budget.retries
-        fit = None
         for attempt in range(1, retries + 2):
             try:
                 faults.fire("cluster", value)
@@ -552,7 +578,7 @@ class CADViewBuilder:
                 fit = km.fit(
                     encoding, rng, checkpoint=checkpoint, tracer=tracer,
                 )
-                break
+                return rows, fit.labels
             except ConvergenceError as exc:
                 if attempt <= retries:
                     report.record_retry("cluster", value, attempt, exc)
@@ -575,17 +601,8 @@ class CADViewBuilder:
                     "deadline mid-clustering",
                 )
                 break
-        if fit is None:
-            # the bottom rung: the whole partition as one summary IUnit
-            labels = np.zeros(len(partition), dtype=np.int32)
-        else:
-            labels = fit.labels
-        with tracer.span("label", clusters=int(labels.max()) + 1):
-            units = build_iunits(
-                partition, labels, pivot, value, compare, labeling
-            )
-        span.inc("candidates", len(units))
-        return units
+        # the bottom rung: the whole partition as one summary IUnit
+        return rows, np.zeros(len(partition), dtype=np.int32)
 
     def _topk(
         self,

@@ -77,7 +77,8 @@ class Session:
     Tables and named views are shared across sessions (the catalog);
     the *results of the most recent statement* — the build report and
     the analyzer report — are per-session, so concurrent sessions never
-    clobber each other's ``last_report``.
+    clobber each other's ``last_report``.  Dropping a view clears the
+    ``last_report`` of any session that still holds its report.
     """
 
     name: str = DEFAULT_SESSION
@@ -191,6 +192,21 @@ class DBExplorer:
     def last_report(self) -> Optional[BuildReport]:
         """The most recent CADVIEW build report (default session)."""
         return self._sessions[DEFAULT_SESSION].last_report
+
+    def _forget_report(self, report: Optional[BuildReport]) -> None:
+        """Clear every session's ``last_report`` that is ``report``.
+
+        A dropped view's report (span tree included) must not outlive
+        the view on the session that built it: sessions are never
+        evicted.  Readers compare reports by identity, so ``None``
+        reads as "no build this statement".
+        """
+        if report is None:
+            return
+        with self._sessions_lock:
+            for sess in self._sessions.values():
+                if sess.last_report is report:
+                    sess.last_report = None
 
     # -- catalog -----------------------------------------------------------
 
@@ -460,7 +476,7 @@ class DBExplorer:
         if isinstance(stmt, ShowCadViewsStatement):
             return sorted(self._views.snapshot())
         if isinstance(stmt, DropCadViewStatement):
-            self._views.drop(stmt.name)
+            self._forget_report(self._views.drop(stmt.name).report)
             return sorted(self._views.snapshot())
         raise QueryError(f"cannot execute statement {stmt!r}")
 
@@ -586,7 +602,9 @@ class DBExplorer:
                 "  compare_attrs [compare_attrs]: chi-square ranking"
                 + (f", pinned={list(stmt.select)}" if stmt.select else ""),
                 "  per pivot value:",
-                "    iunits [iunits]: k-means candidate generation",
+                "    iunits [iunits]: k-means clustering",
+                "  label [iunits]: every cluster of every pivot value",
+                "  per pivot value:",
                 "    topk [others]: diversified top-k (div-astar)",
             ]
             if stmt.order_by:

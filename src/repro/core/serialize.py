@@ -30,7 +30,7 @@ def _iunit_to_dict(unit: IUnit) -> dict:
         "size": unit.size,
         "display": {a: list(v) for a, v in unit.display.items()},
         "distributions": {
-            a: [float(x) for x in np.asarray(unit.distributions[a])]
+            a: np.asarray(unit.distributions[a], dtype=float).tolist()
             for a in unit.compare_attributes
         },
     }

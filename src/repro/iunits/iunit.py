@@ -6,7 +6,7 @@ Attribute value.  Besides its display labels, an IUnit keeps the full
 per-attribute value-frequency distributions of its underlying cluster;
 those term-frequency vectors are what Algorithm 1 computes cosine
 similarity over.  Each vector is scaled to unit length once, when the
-IUnit is made, so every later similarity is a dot product.
+build labels its clusters, so every later similarity is a dot product.
 """
 
 from __future__ import annotations
@@ -34,20 +34,23 @@ def row_dot(a, b) -> np.ndarray:
 
 
 def unit_vector(counts) -> np.ndarray:
-    """``counts`` scaled to unit length; an all-zero vector stays zero.
+    """Each row of ``counts`` (its last axis) scaled to unit length; an
+    all-zero row stays zero.
 
-    The vector is pre-scaled by its max magnitude first, because the
-    norm squares entries and underflows to zero on subnormal counts.
-    The ops run in this order, ``(a / max|a|) / norm``, so the dot
-    product of two unit vectors is the per-attribute cosine of
-    Algorithm 1 exactly (DESIGN §18).
+    A row is pre-scaled by its max magnitude first, because the norm
+    squares entries and underflows to zero on subnormal counts.  The
+    ops run in this order, ``(a / max|a|) / norm``, so the dot product
+    of two unit vectors is the per-attribute cosine of Algorithm 1
+    exactly.  Every op is element-wise or a :func:`row_dot` over the
+    last axis, so a row gets the same bits in a table of any height as
+    alone (DESIGN §18).
     """
     a = np.asarray(counts, dtype=float)
-    scale = np.abs(a).max(initial=0.0)
-    if scale == 0:
-        return np.zeros_like(a)
-    a = a / scale
-    return a / np.sqrt(row_dot(a, a))
+    scale = np.abs(a).max(axis=-1, keepdims=True, initial=0.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        a = a / scale
+        a = a / np.sqrt(row_dot(a, a))[..., None]
+    return np.where(scale > 0, a, 0.0)
 
 
 @dataclass(frozen=True)
@@ -69,14 +72,15 @@ class IUnit:
     display:
         attribute -> the representative value labels chosen by the
         labeling step (what Table 1 prints in square brackets).
+    unit_vectors:
+        attribute -> :func:`unit_vector` of its distribution, what
+        Algorithm 1 multiplies.  The labeling step normalizes a whole
+        build's count table per attribute at once and hands each IUnit
+        its rows; :meth:`with_uid` copies share them.  They stay off
+        every serialized form and out of equality.
     uid:
         1-based position within its row after top-k ranking; ``None``
         for unranked candidates.
-    unit_vectors:
-        attribute -> :func:`unit_vector` of its distribution, what
-        Algorithm 1 multiplies.  Computed once, when the IUnit is made;
-        :meth:`with_uid` copies share them.  They stay off every
-        serialized form.
     """
 
     pivot_attribute: str
@@ -85,27 +89,24 @@ class IUnit:
     compare_attributes: Tuple[str, ...]
     distributions: Mapping[str, np.ndarray]
     display: Mapping[str, Tuple[str, ...]]
+    unit_vectors: Mapping[str, np.ndarray] = field(compare=False)
     uid: Optional[int] = None
-    unit_vectors: Mapping[str, np.ndarray] = field(
-        init=False, compare=False
-    )
 
     def __post_init__(self) -> None:
         missing = [
-            a for a in self.compare_attributes if a not in self.distributions
+            a for a in self.compare_attributes
+            if a not in self.distributions or a not in self.unit_vectors
         ]
         if missing:
-            raise CADViewError(f"IUnit lacks distributions for {missing}")
-        object.__setattr__(self, "unit_vectors", {
-            a: unit_vector(self.distributions[a])
-            for a in self.compare_attributes
-        })
+            raise CADViewError(
+                f"IUnit lacks distributions or unit vectors for {missing}"
+            )
 
     def with_uid(self, uid: int) -> "IUnit":
         """A copy carrying its 1-based rank within the CAD View row.
 
         The copy skips the constructor and shares this IUnit's unit
-        vectors, so nothing is normalized again.
+        vectors.
         """
         ranked = copy.copy(self)
         object.__setattr__(ranked, "uid", uid)
@@ -124,15 +125,6 @@ class IUnit:
         if not values:
             return "[-]"
         return " ".join(f"[{v}]" for v in values)
-
-    def top_values(self, attribute: str, n: int = 3) -> Tuple[Tuple[str, int], ...]:
-        """(label-index, count) pairs of the ``n`` most frequent codes.
-
-        Mainly for diagnostics; display labels come from ``display``.
-        """
-        dist = np.asarray(self.distributions[attribute])
-        order = np.argsort(dist)[::-1][:n]
-        return tuple((int(i), int(dist[i])) for i in order if dist[i] > 0)
 
     def __repr__(self) -> str:
         tag = f"#{self.uid}" if self.uid is not None else "cand"

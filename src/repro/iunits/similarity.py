@@ -11,8 +11,8 @@
   similar), handling the disjoint-item problem by matching IUnits via
   Algorithm 1 at threshold ``tau``.
 
-All three read the unit vectors each :class:`IUnit` computes once when
-it is made (:func:`~repro.iunits.iunit.unit_vector`), so a search
+All three read the unit vectors the labeling step hands each
+:class:`IUnit` (:func:`~repro.iunits.iunit.unit_vector`), so a search
 normalizes nothing, and all three score their pairs in one batch per
 Compare Attribute with :func:`~repro.iunits.iunit.row_dot`, which gives
 a pair the same bits alone or in any batch (DESIGN §18).

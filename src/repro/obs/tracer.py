@@ -93,7 +93,7 @@ class Span:
 
     __slots__ = (
         "name", "attrs", "counters", "events", "children",
-        "start_s", "end_s", "status", "error", "bucket",
+        "start_s", "end_s", "status", "error", "bucket", "__weakref__",
     )
 
     def __init__(self, name: str, bucket: Optional[str] = None, **attrs):

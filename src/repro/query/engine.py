@@ -168,15 +168,16 @@ def _order_rows(
 ) -> np.ndarray:
     """``rows`` (ids into ``table``) stably sorted on the ``by`` keys.
 
-    numpy lexsort-style, keys apply from least to most significant; a
-    descending key reverses its stable ascending order.
+    numpy lexsort-style, keys apply from least to most significant.  A
+    descending key sorts its negated keys, so equal keys keep their
+    order under ``DESC`` as under ``ASC`` and a less significant key's
+    order survives.
     """
     if len(by) != len(ascending):
         raise QueryError("order_by: by and ascending differ in length")
     for name, asc in zip(reversed(by), reversed(ascending)):
-        idx = np.argsort(_sort_keys(table[name], rows), kind="stable")
-        if not asc:
-            idx = idx[::-1]
+        keys = _sort_keys(table[name], rows)
+        idx = np.argsort(keys if asc else -keys, kind="stable")
         rows = rows[idx]
     return rows
 

@@ -68,14 +68,16 @@ class ViewRegistry(Mapping):
             views[name] = view
             self._views = views
 
-    def drop(self, name: str) -> None:
-        """Remove a named view; raises when it does not exist."""
+    def drop(self, name: str) -> object:
+        """Remove a named view and return it; raises when it does not
+        exist."""
         with self._lock:
             if name not in self._views:
                 raise CADViewError(f"unknown CAD View {name!r}")
             views = dict(self._views)
-            del views[name]
+            dropped = views.pop(name)
             self._views = views
+        return dropped
 
     def __repr__(self) -> str:
         return f"ViewRegistry({sorted(self._views)})"

@@ -8,6 +8,7 @@ from repro.errors import CADViewError
 from repro.iunits import (
     IUnit, div_astar, div_greedy, diversified_topk, similarity_graph,
 )
+from repro.iunits.iunit import unit_vector
 
 
 def brute_force(scores, adj, k):
@@ -102,8 +103,9 @@ class TestDivGreedy:
 
 
 def unit(vec, size=10, value="v"):
-    return IUnit("p", value, size, ("x",),
-                 {"x": np.asarray(vec, float)}, {"x": ()})
+    vec = np.asarray(vec, float)
+    return IUnit("p", value, size, ("x",), {"x": vec}, {"x": ()},
+                 {"x": unit_vector(vec)})
 
 
 class TestSimilarityGraph:

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.dataset import AttrKind, Attribute, Schema, Table
 from repro.errors import QueryError
 from repro.query import Between, Eq, QueryEngine, TruePred
 
@@ -79,3 +80,23 @@ class TestOrderBy:
     def test_length_mismatch_raises(self, engine, toy_table):
         with pytest.raises(QueryError):
             engine.order_by(toy_table, ["city"], [True, False])
+
+    def test_descending_key_is_stable(self):
+        # reversing an ascending sort would flip p within each m
+        schema = Schema([
+            Attribute("m", AttrKind.CATEGORICAL),
+            Attribute("p", AttrKind.NUMERIC),
+        ])
+        table = Table.from_rows(schema, [
+            {"m": m, "p": p}
+            for m, p in (("a", 1), ("a", 3), ("b", 2), ("b", 4), ("a", 2))
+        ])
+        want = [("b", 2.0), ("b", 4.0), ("a", 1.0), ("a", 2.0), ("a", 3.0)]
+        r = QueryEngine.order_by(table, ["m", "p"], [False, True])
+        assert [(row["m"], row["p"]) for row in r.iter_rows()] == want
+        r = QueryEngine.select(table, None, None, None, by=["m", "p"],
+                               ascending=[False, True])
+        assert [(row["m"], row["p"]) for row in r.iter_rows()] == want
+        r = QueryEngine.order_by(table, ["m"], [False])
+        assert [row["p"] for row in r.iter_rows()] == [2.0, 4.0, 1.0, 3.0,
+                                                       2.0]

@@ -1,5 +1,8 @@
 """End-to-end tests for the DBExplorer statement facade."""
 
+import gc
+import weakref
+
 import pytest
 
 from repro import CADView, CADViewConfig, DBExplorer, Table
@@ -214,3 +217,35 @@ class TestSimilaritySearch:
                 "HIGHLIGHT SIMILAR IUNITS IN Nope "
                 "WHERE SIMILARITY(x, 1) > 1"
             )
+
+
+class TestSessionReports:
+    """A session's ``last_report`` lives no longer than its view."""
+
+    SUVS = ("CREATE CADVIEW {} AS SET pivot = Make SELECT Price "
+            "FROM UsedCars WHERE BodyType = SUV LIMIT COLUMNS 3 IUNITS 2")
+
+    @pytest.fixture
+    def fresh(self, cars):
+        d = DBExplorer(CADViewConfig(seed=11))
+        d.register("UsedCars", cars)
+        return d
+
+    def test_drop_frees_the_build_span(self, fresh):
+        cad = fresh.execute(self.SUVS.format("Suvs"), session="u1")
+        # a live view's report is read right after CREATE
+        assert fresh.session("u1").last_report is cad.report
+        assert cad.report.trace.attrs["rows_in"] > 0
+        span = weakref.ref(cad.report.trace)
+        del cad
+        fresh.execute("DROP CADVIEW Suvs", session="u1")
+        gc.collect()
+        assert fresh.session("u1").last_report is None
+        assert span() is None
+
+    def test_drop_clears_the_building_session_only(self, fresh):
+        kept = fresh.execute(self.SUVS.format("Kept"), session="u1")
+        fresh.execute(self.SUVS.format("Gone"), session="u2")
+        fresh.execute("DROP CADVIEW Gone", session="u1")
+        assert fresh.session("u1").last_report is kept.report
+        assert fresh.session("u2").last_report is None

@@ -5,8 +5,9 @@ which lives only here: the k-means centroid sums, read off an
 encoding's count tables, against ``np.add.at``, the k-means fit over
 distinct tuples against a plain row-by-row fit of the encoding's matrix
 with the same fixed-order distance kernel (bit for bit) and against
-the BLAS distance product it replaced (within a tolerance), cluster
-labeling against one mask per cluster, the categorical remap against
+the BLAS distance product it replaced (within a tolerance), a whole
+build's cluster labeling against one mask, one normalization and one
+representative-value loop per cluster, the categorical remap against
 ``sorted(set(...))``, a categorical column's distinct values against
 ``np.unique`` of its codes, the V-optimal micro-bucket counts against
 ``np.add.at``, and the search kernels (Algorithms 1 and 2, and the
@@ -24,6 +25,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import ndtr
 
 from repro import CADViewBuilder, CADViewConfig, DBExplorer
 from repro.clustering import Encoding, KMeans, one_hot_encode
@@ -43,6 +45,8 @@ from repro.iunits import (
     ranked_list_distance, representative_values, similarity_graph,
 )
 from repro.iunits import iunit as iunit_module
+from repro.iunits import labeling as labeling_module
+from repro.iunits.iunit import unit_vector
 from repro.iunits.similarity import ranked_list_distances, similarity_matrix
 from repro.obs import work
 from repro.obs.tracer import Tracer
@@ -118,10 +122,62 @@ def kmeans_reference(km, encoding, rng=None):
     return KMeansResult(labels.astype(np.int32), centers, inertia, n_iter)
 
 
+def unit_vector_reference(counts):
+    """One distribution scaled to unit length on its own (1-D)."""
+    a = np.asarray(counts, dtype=float)
+    scale = np.abs(a).max(initial=0.0)
+    if scale == 0:
+        return np.zeros_like(a)
+    a = a / scale
+    return a / np.sqrt(np.add.reduce(a * a))
+
+
+def significantly_below_reference(c_small, c_big, total, alpha):
+    """The two-proportion z-test on one pair of counts."""
+    if total <= 0 or c_big <= 0:
+        return False
+    p1, p2 = c_big / total, c_small / total
+    pooled = (c_big + c_small) / (2.0 * total)
+    if pooled in (0.0, 1.0):
+        return False
+    se = np.sqrt(2.0 * pooled * (1.0 - pooled) / total)
+    if se == 0:
+        return p1 > p2
+    z = (p1 - p2) / se
+    p_value = 1.0 - float(ndtr(z))  # one-sided
+    return p_value <= alpha
+
+
+def representative_values_reference(counts, labels, config):
+    """One distribution's display values, admitted value by value."""
+    counts = np.asarray(counts, dtype=float)
+    total = counts.sum()
+    if total <= 0:
+        return ()
+    order = np.argsort(-counts, kind="stable")
+    chosen = []
+    prev_count = None
+    for idx in order:
+        c = counts[idx]
+        if c <= 0 or len(chosen) >= config.max_display:
+            break
+        if chosen:
+            if c / total < config.min_share:
+                break
+            if significantly_below_reference(
+                c, prev_count, total, config.alpha
+            ):
+                break
+        chosen.append(labels[idx])
+        prev_count = c
+    return tuple(chosen)
+
+
 def label_cluster_reference(view, member_mask, pivot_attribute,
                             pivot_value, compare_attributes,
                             config=LabelingConfig()):
-    """One cluster's IUnit, its codes gathered through its mask."""
+    """One cluster's IUnit, its codes gathered through its mask and
+    each distribution normalized and labeled on its own."""
     member_mask = np.asarray(member_mask, dtype=bool)
     size = int(member_mask.sum())
     if size == 0:
@@ -133,17 +189,21 @@ def label_cluster_reference(view, member_mask, pivot_attribute,
         valid = codes[codes >= 0]
         counts = np.bincount(valid, minlength=view.ncodes(name)).astype(float)
         distributions[name] = counts
-        display[name] = representative_values(
+        display[name] = representative_values_reference(
             counts, view.labels(name), config
         )
+    vectors = {
+        name: unit_vector_reference(counts)
+        for name, counts in distributions.items()
+    }
     return IUnit(pivot_attribute, pivot_value, size,
-                 tuple(compare_attributes), distributions, display)
+                 tuple(compare_attributes), distributions, display, vectors)
 
 
 def build_iunits_reference(view, cluster_labels, pivot_attribute,
                            pivot_value, compare_attributes,
                            config=LabelingConfig()):
-    """Every cluster labeled through a mask of its own."""
+    """Every cluster of one partition labeled through a mask of its own."""
     cluster_labels = np.asarray(cluster_labels)
     iunits = []
     for cid in np.unique(cluster_labels):
@@ -155,6 +215,26 @@ def build_iunits_reference(view, cluster_labels, pivot_attribute,
         iunits.append(label_cluster_reference(
             view, mask, pivot_attribute, pivot_value,
             compare_attributes, config,
+        ))
+    return iunits
+
+
+def held_iunit(value, size, dists):
+    """An undisplayed IUnit whose vectors were normalized one by one."""
+    attrs = tuple(dists)
+    return IUnit("p", value, size, attrs, dists, {a: () for a in attrs},
+                 {a: unit_vector_reference(d) for a, d in dists.items()})
+
+
+def whole_build_reference(view, partitions, pivot_attribute,
+                          compare_attributes, config=LabelingConfig()):
+    """A build's labeling as one :func:`build_iunits_reference` call per
+    pivot partition, in order."""
+    iunits = []
+    for value, rows, labels in partitions:
+        iunits.extend(build_iunits_reference(
+            view.partition(rows, compare_attributes), labels,
+            pivot_attribute, value, compare_attributes, config,
         ))
     return iunits
 
@@ -564,6 +644,11 @@ class TestTupleFit:
 
 # -------------------------------------------------- cluster labeling
 
+def whole_view(view, labels, value="v"):
+    """One partition holding every row of ``view``."""
+    return [(value, np.arange(len(view)), np.asarray(labels))]
+
+
 @st.composite
 def labeled_partition(draw):
     """(view, cluster ids, config): negative and gapped cluster ids."""
@@ -572,12 +657,72 @@ def labeled_partition(draw):
     ids = np.array(draw(st.lists(
         st.sampled_from((-3, -1, 0, 1, 2, 5, 9)), min_size=n, max_size=n,
     )))
-    config = LabelingConfig(
-        max_display=draw(st.integers(1, 3)),
+    return code_view(columns, n), ids, draw(labeling_configs())
+
+
+@st.composite
+def labeling_configs(draw):
+    return LabelingConfig(
+        max_display=draw(st.integers(0, 3)),
         alpha=draw(st.sampled_from((0.05, 0.5, 1.0))),
         min_share=draw(st.sampled_from((0.0, 0.15, 0.4))),
     )
-    return code_view(columns, n), ids, config
+
+
+# numpy's pairwise sum adds fewer than 8 elements in a plain loop, up to
+# 128 in an 8-way unrolled block, and splits longer runs in halves
+WIDTHS = st.one_of(
+    st.integers(0, 7), st.integers(8, 128), st.integers(129, 300),
+)
+
+
+@st.composite
+def labeled_build(draw):
+    """(view, partitions, config): a build's clustered pivot partitions.
+
+    The view's rows are dealt to 1-5 partitions (some rows to none, as
+    a cluster sample leaves them, but never all: the builder labels
+    only once a pivot value clustered), each a plain clustering with
+    skipped ids and outliers, a whole-partition cluster (the bottom
+    rung), or one row per cluster (k clamped to a tiny partition).
+    Attributes are 0-300 codes wide, and some have every code of some
+    rows, or of every row, missing.
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(1, 400))
+    columns = {}
+    for i, w in enumerate(draw(st.lists(WIDTHS, min_size=1, max_size=3))):
+        missing = draw(st.sampled_from((0.0, 0.3, 1.0)))
+        codes = rng.integers(0, max(w, 1), size=n).astype(np.int32)
+        codes[(rng.random(n) < missing) | (w == 0)] = -1
+        columns[f"a{i}"] = (codes, w)
+    owner = rng.integers(-1, draw(st.integers(1, 5)), size=n)
+    owner[0] = 0  # a build labels at least one clustered partition
+    partitions = []
+    for p in range(owner.max() + 1):
+        rows = np.flatnonzero(owner == p)
+        if not len(rows):
+            continue
+        shape = draw(st.sampled_from(("kmeans", "whole", "clamped")))
+        if shape == "kmeans":
+            ids = rng.choice((-1, 0, 1, 3, 4, 7), size=len(rows))
+        elif shape == "whole":
+            ids = np.zeros(len(rows), dtype=np.int32)
+        else:
+            ids = np.arange(len(rows), dtype=np.int32)
+        partitions.append((f"v{p}", rows, ids.astype(np.int32)))
+    return code_view(columns, n), partitions, draw(labeling_configs())
+
+
+@st.composite
+def count_tables(draw):
+    """A count table, 0-300 codes wide, with all-zero rows."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n, w = draw(st.integers(1, 12)), draw(WIDTHS)
+    table = rng.integers(0, draw(st.sampled_from((2, 50, 5000))),
+                         size=(n, w)).astype(float)
+    table[rng.random(n) < 0.2] = 0.0
+    return table
 
 
 def assert_same_iunits(new, old):
@@ -590,13 +735,15 @@ def assert_same_iunits(new, old):
         assert dict(a.display) == dict(b.display)
         assert list(a.distributions) == list(b.distributions)
         for name in a.compare_attributes:
-            x, y = a.distributions[name], b.distributions[name]
-            assert x.dtype == y.dtype == np.float64
-            assert x.tobytes() == y.tobytes()
+            for x, y in ((a.distributions[name], b.distributions[name]),
+                         (a.unit_vectors[name], b.unit_vectors[name])):
+                assert x.dtype == y.dtype == np.float64
+                assert x.tobytes() == y.tobytes()
 
 
 class TestLabeling:
-    """Every cluster's distributions from one joint count per attribute."""
+    """A whole build's clusters from one count table per attribute,
+    normalized and labeled in one pass per attribute."""
 
     @settings(max_examples=300, deadline=None)
     @given(labeled_partition())
@@ -604,20 +751,64 @@ class TestLabeling:
         view, ids, config = case
         names = list(view.attribute_names)
         assert_same_iunits(
-            build_iunits(view, ids, "p", "v", names, config),
+            build_iunits(view, whole_view(view, ids), "p", names, config),
             build_iunits_reference(view, ids, "p", "v", names, config),
         )
+
+    @settings(max_examples=200, deadline=None)
+    @given(labeled_build())
+    def test_whole_build_matches_each_partition_alone(self, case):
+        view, partitions, config = case
+        names = list(view.attribute_names)
+        assert_same_iunits(
+            build_iunits(view, partitions, "p", names, config),
+            whole_build_reference(view, partitions, "p", names, config),
+        )
+
+    @settings(max_examples=200, deadline=None)
+    @given(count_tables())
+    def test_rows_normalize_as_each_row_alone(self, table):
+        unit = unit_vector(table)
+        assert unit.shape == table.shape and unit.dtype == np.float64
+        for row, got in zip(table, unit):
+            assert got.tobytes() == unit_vector_reference(row).tobytes()
+
+    @settings(max_examples=200, deadline=None)
+    @given(count_tables(), labeling_configs())
+    def test_rows_label_as_each_row_alone(self, table, config):
+        labels = tuple(f"v{i}" for i in range(table.shape[1]))
+        assert representative_values(table, labels, config) == [
+            representative_values_reference(row, labels, config)
+            for row in table
+        ]
 
     def test_int32_labels_and_unlabeled_rows(self):
         codes = {"a": (np.array([1, 0, -1, 1, 1, 0], dtype=np.int32), 2)}
         view = code_view(codes, 6)
         ids = np.array([4, 4, 4, -1, 0, 0], dtype=np.int32)
-        new = build_iunits(view, ids, "p", "v", ["a"])
+        new = build_iunits(view, whole_view(view, ids), "p", ["a"])
         assert_same_iunits(
             new, build_iunits_reference(view, ids, "p", "v", ["a"])
         )
         assert [u.size for u in new] == [2, 3]
         assert new[1].distributions["a"].tolist() == [1.0, 1.0]
+
+    def test_one_pass_per_attribute_per_build(self, cars, monkeypatch):
+        calls = []
+        for name in ("unit_vector", "representative_values"):
+            real = getattr(labeling_module, name)
+            monkeypatch.setattr(
+                labeling_module, name,
+                lambda *a, _n=name, _f=real: calls.append(_n) or _f(*a),
+            )
+        cad = CADViewBuilder(
+            CADViewConfig(compare_limit=3, iunits_k=2, seed=7)
+        ).build(cars, pivot="BodyType")
+        assert len(cad.pivot_values) > 1
+        assert sorted(calls) == sorted(
+            ["unit_vector", "representative_values"]
+            * len(cad.compare_attributes)
+        )
 
 
 # --------------------------------------------- whole builds, held forms
@@ -650,7 +841,8 @@ def build_views(dbx):
 def candidate_bytes(cad):
     return [
         (value, u.size, dict(u.display),
-         [u.distributions[a].tobytes() for a in u.compare_attributes])
+         [u.distributions[a].tobytes() for a in u.compare_attributes],
+         [u.unit_vectors[a].tobytes() for a in u.compare_attributes])
         for value, units in cad.candidates.items() for u in units
     ]
 
@@ -673,7 +865,7 @@ def test_builds_equal_the_held_forms(explorer40k):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(DiscretizedView, "partition", partition_reference)
         mp.setattr(KMeans, "fit", fit_reference)
-        mp.setattr(builder_module, "build_iunits", build_iunits_reference)
+        mp.setattr(builder_module, "build_iunits", whole_build_reference)
         old = build_views(explorer40k)
     for a, b in zip(new, old):
         assert to_dict(a) == to_dict(b)
@@ -806,8 +998,7 @@ def candidate_sets(draw):
             elif kind == "subnormal":
                 counts *= 2.0 ** -1070
             dists[a] = counts
-        units.append(IUnit("p", f"v{u}", 1, attrs, dists,
-                           {a: () for a in attrs}))
+        units.append(held_iunit(f"v{u}", 1, dists))
     tau = draw(st.floats(0.0, float(nattrs)))
     return units, tau
 
@@ -916,19 +1107,19 @@ class TestSearchKernels:
                     ).hex()
 
     def test_with_uid_copies_keep_the_vectors(self):
-        unit = IUnit("p", "a", 3, ("x", "y"),
-                     {"x": np.array([3.0, 1.0]), "y": np.array([0.0, 2.0])},
-                     {"x": (), "y": ()})
+        unit = held_iunit(
+            "a", 3, {"x": np.array([3.0, 1.0]), "y": np.array([0.0, 2.0])}
+        )
         ranked = unit.with_uid(2).with_uid(1)
         assert ranked.unit_vectors is unit.unit_vectors
         assert ranked.uid == 1 and unit.uid is None
 
     def test_with_uid_normalizes_nothing(self, normalizations):
-        unit = IUnit("p", "a", 3, ("x",), {"x": np.array([3.0, 1.0])},
-                     {"x": ()})
-        assert len(normalizations) == 1
+        # the labeling step hands an IUnit its vectors: neither the
+        # constructor nor a with_uid copy normalizes anything
+        unit = held_iunit("a", 3, {"x": np.array([3.0, 1.0])})
         unit.with_uid(2).with_uid(1)
-        assert len(normalizations) == 1
+        assert normalizations == []
 
     def test_reordered_views_keep_the_vectors(self, cad, normalizations):
         reordered = cad.reorder_by_similarity(cad.pivot_values[-1])
@@ -971,20 +1162,19 @@ class TestSimilarityGraph:
         )
 
     def test_zero_vector_is_similar_to_nothing(self):
-        attrs = ("x",)
-        zero = IUnit("p", "a", 1, attrs, {"x": np.zeros(3)}, {"x": ()})
-        also_zero = IUnit("p", "b", 1, attrs, {"x": np.zeros(3)}, {"x": ()})
+        zero = held_iunit("a", 1, {"x": np.zeros(3)})
+        also_zero = held_iunit("b", 1, {"x": np.zeros(3)})
         assert similarity_matrix([zero, also_zero])[0, 1] == 0.0
         assert not similarity_graph([zero, also_zero], 1e-9).any()
 
     def test_mismatched_compare_attributes_raise(self):
-        a = IUnit("p", "a", 1, ("x",), {"x": np.ones(2)}, {"x": ()})
-        b = IUnit("p", "b", 1, ("y",), {"y": np.ones(2)}, {"y": ()})
+        a = held_iunit("a", 1, {"x": np.ones(2)})
+        b = held_iunit("b", 1, {"y": np.ones(2)})
         with pytest.raises(CADViewError, match="Compare Attribute sets"):
             similarity_graph([a, b], 0.5)
 
     def test_mismatched_widths_raise(self):
-        a = IUnit("p", "a", 1, ("x",), {"x": np.ones(2)}, {"x": ()})
-        b = IUnit("p", "b", 1, ("x",), {"x": np.ones(3)}, {"x": ()})
+        a = held_iunit("a", 1, {"x": np.ones(2)})
+        b = held_iunit("b", 1, {"x": np.ones(3)})
         with pytest.raises(CADViewError, match="shape mismatch"):
             similarity_graph([a, b], 0.5)

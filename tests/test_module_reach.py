@@ -46,7 +46,7 @@ TEST_ONLY_NAMES = {
     "hash_join", "hidden_names", "incarnations", "index_of", "label_of",
     "neighbors", "numeric_names", "operation_count", "random_subsets",
     "rank_facets", "sample_codes", "selectivity", "significant",
-    "to_csv_string", "toggle_phase", "top_values", "total_counter",
+    "to_csv_string", "toggle_phase", "total_counter",
 }
 
 

@@ -12,6 +12,7 @@ from repro.discretize import Bin, bin_indices, equal_depth_bins, equal_width_bin
 from repro.discretize.histogram import v_optimal_partition
 from repro.features.chi2 import chi2_sf, chi_square_test
 from repro.iunits import IUnit, div_astar, div_greedy, iunit_similarity
+from repro.iunits.iunit import unit_vector
 from repro.iunits.labeling import LabelingConfig, representative_values
 from repro.study.metrics import f1_score
 
@@ -108,7 +109,8 @@ def test_chi_square_result_valid(rows):
 
 def make_unit(vecs):
     dists = {f"a{i}": np.array(v, dtype=float) for i, v in enumerate(vecs)}
-    return IUnit("p", "v", 1, tuple(dists), dists, {k: () for k in dists})
+    return IUnit("p", "v", 1, tuple(dists), dists, {k: () for k in dists},
+                 {k: unit_vector(v) for k, v in dists.items()})
 
 
 unit_vecs = st.lists(
@@ -177,7 +179,7 @@ def test_div_astar_dominates_greedy_and_is_independent(instance):
 def test_representative_values_subset_and_ordered(counts, max_display):
     labels = [f"v{i}" for i in range(len(counts))]
     cfg = LabelingConfig(max_display=max_display)
-    got = representative_values(np.array(counts, float), labels, cfg)
+    (got,) = representative_values(np.array([counts], float), labels, cfg)
     assert len(got) <= max_display
     assert len(set(got)) == len(got)
     # representatives must be among the labels, in weakly decreasing count

@@ -80,10 +80,10 @@ def order_by_reference(table, by, ascending):
         else:
             nums = col.numbers[order]
             keys = np.where(np.isnan(nums), np.inf, nums)
-        idx = np.argsort(keys, kind="stable")
-        if not asc:
-            idx = idx[::-1]
-        order = order[idx]
+        # sorted() is stable under reverse=True too: equal keys keep
+        # their order under DESC as under ASC
+        idx = sorted(range(len(order)), key=keys.__getitem__, reverse=not asc)
+        order = order[np.array(idx, dtype=int)]
     return table.take(order)
 
 

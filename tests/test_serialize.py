@@ -30,6 +30,16 @@ class TestDump:
             for u in units:
                 assert set(u) == {"uid", "size", "display", "distributions"}
 
+    def test_distributions_are_the_counts_as_python_floats(self, cad):
+        doc = serialize.to_dict(cad)
+        for value in cad.pivot_values:
+            for unit, u in zip(cad.rows[value], doc["rows"][value]):
+                for a in cad.compare_attributes:
+                    got = u["distributions"][a]
+                    want = [float(x) for x in unit.distributions[a]]
+                    assert all(type(x) is float for x in got)
+                    assert json.dumps(got) == json.dumps(want)
+
     def test_json_round_trippable_text(self, cad):
         text = json.dumps(serialize.to_dict(cad))
         assert json.loads(text)["name"] == "v"

@@ -10,13 +10,14 @@ from repro.iunits import (
     iunit_similarity,
     ranked_list_distance,
 )
+from repro.iunits.iunit import unit_vector
 
 
 def unit(dists, value="v", uid=None):
     attrs = tuple(dists)
-    return IUnit("p", value, 10, attrs,
-                 {k: np.asarray(v, float) for k, v in dists.items()},
-                 {k: () for k in dists}, uid)
+    dists = {k: np.asarray(v, float) for k, v in dists.items()}
+    return IUnit("p", value, 10, attrs, dists, {k: () for k in dists},
+                 {k: unit_vector(v) for k, v in dists.items()}, uid)
 
 
 class TestCosine:
