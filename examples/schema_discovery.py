@@ -10,8 +10,8 @@ the same substrate as the CAD View:
 3. a Chow–Liu tree of the whole schema (the maximum-likelihood
    tree-shaped Bayesian network), whose edges say which attribute
    best explains which;
-4. a warehouse-style CUBE roll-up for contrast with the CAD View's
-   context-dependent summaries.
+4. a warehouse-style group-by aggregate for contrast with the CAD
+   View's context-dependent summaries.
 
 Run:  python examples/schema_discovery.py
 """
@@ -53,7 +53,8 @@ def main() -> None:
         count = g.value(key, "count(*)")
         price = g.value(key, "mean(Price)")
         print(f"  {str(key):>24}: n={count:>6.0f}  mean ${price:>9,.0f}")
-    print("\n(the cube answers 'what is the average?'; the CAD View answers")
+    print("\n(the group-by answers 'what is the average?'; the CAD View "
+          "answers")
     print(" 'how do my shortlisted makes differ, given what I've already")
     print(" selected?' — run examples/used_car_exploration.py for that)")
 

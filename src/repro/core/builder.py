@@ -60,7 +60,7 @@ from repro.features.selection import (
 )
 from repro.iunits.diversify import diversified_topk
 from repro.iunits.iunit import IUnit
-from repro.iunits.labeling import LabelingConfig, build_iunits
+from repro.iunits.labeling import build_iunits
 from repro.iunits.similarity import default_tau
 from repro.obs.metrics import registry
 from repro.obs.tracer import Tracer
@@ -176,15 +176,13 @@ class CADViewBuilder:
                 build_span.set_attr("rows", len(result))
 
                 # pre-processing: context-dependent discretization of R
+                discretizer = Discretizer()
                 with tracer.span(
                     "discretize", bucket="others", profile=profile,
-                    strategy=config.strategy, nbins=config.nbins,
+                    strategy=discretizer.strategy, nbins=discretizer.nbins,
                 ) as sp:
                     clock.check("discretize")
                     faults.fire("discretize")
-                    discretizer = Discretizer(
-                        strategy=config.strategy, nbins=config.nbins
-                    )
                     view = discretizer.fit(result)
                     values = self._pivot_values(view, pivot, pivot_values)
                     sp.set_attr("attributes", len(view.attribute_names))
@@ -206,15 +204,10 @@ class CADViewBuilder:
                     )
 
                 # Problems 1.2 + 2 — candidate IUnits, diversified top-k
-                labeling = LabelingConfig(
-                    max_display=config.max_display,
-                    alpha=config.label_alpha,
-                    min_share=config.min_share,
-                )
-                tau = default_tau(len(compare), config.tau_alpha)
+                tau = default_tau(len(compare))
                 l = config.effective_l(len(result))
                 kept, rows, candidates = self._build_rows(
-                    view, pivot, values, compare, labeling, tau, l,
+                    view, pivot, values, compare, tau, l,
                     profile, clock, faults, report, tracer,
                 )
                 report.elapsed_s = clock.elapsed()
@@ -345,7 +338,6 @@ class CADViewBuilder:
                     pivot,
                     pinned=pinned,
                     limit=config.compare_limit,
-                    alpha=config.alpha,
                     selector=self.selector,
                     exclude=exclude,
                     checkpoint=clock.checkpoint("feature_selection"),
@@ -417,7 +409,6 @@ class CADViewBuilder:
         pivot: str,
         values: Sequence[str],
         compare: Sequence[str],
-        labeling: LabelingConfig,
         tau: float,
         l: int,
         profile: BuildProfile,
@@ -476,7 +467,7 @@ class CADViewBuilder:
             "label", bucket="iunits", profile=profile,
             partitions=len(clustered),
         ) as sp:
-            units = build_iunits(view, clustered, pivot, compare, labeling)
+            units = build_iunits(view, clustered, pivot, compare)
             sp.inc("candidates", len(units))
         candidates: Dict[str, List[IUnit]] = {
             value: [] for value, _, _ in clustered
@@ -582,8 +573,6 @@ class CADViewBuilder:
             except ConvergenceError as exc:
                 if attempt <= retries:
                     report.record_retry("cluster", value, attempt, exc)
-                    if report.profile is not None:
-                        report.profile.count("retries")
                     tracer.inc("cluster_restarts")
                     continue
                 report.record_incident(
@@ -617,12 +606,11 @@ class CADViewBuilder:
         """Problem 2 for one pivot value: exact div-astar, else greedy."""
         config = self.config
         faults.fire("topk", value)
-        exact = config.exact_topk
-        if exact and clock.under_pressure():
+        exact = not clock.under_pressure()
+        if not exact:
             report.record_degradation(
                 "topk", "exact", "greedy", "budget pressure"
             )
-            exact = False
         try:
             return diversified_topk(
                 cands,

@@ -9,7 +9,7 @@ reordering rows by similarity to a preferred pivot value.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.discretize.discretizer import DiscretizedView
@@ -28,10 +28,15 @@ __all__ = ["CADViewConfig", "IUnitRef", "CADView"]
 
 @dataclass(frozen=True)
 class CADViewConfig:
-    """All knobs of CAD View construction.
+    """The settable parts of CAD View construction.
 
-    Mirrors the query model of Sec. 2.1.2 plus the assumptions of
-    Sec. 2.2.1 and the optimizations of Sec. 6.3.
+    Mirrors the query model of Sec. 2.1.2 plus the optimizations of
+    Sec. 6.3.  Everything else is fixed: equi-width discretization into
+    6 bins, the 0.05 significance gate of Compare Attribute selection,
+    the default :class:`~repro.iunits.labeling.LabelingConfig`, the
+    similarity threshold ``tau = 0.7 |I|``
+    (:func:`~repro.iunits.similarity.default_tau`) and exact div-astar
+    top-k unless the build's clock is under pressure.
 
     compare_limit:
         ``LIMIT COLUMNS M`` — total Compare Attributes (user-pinned +
@@ -41,14 +46,6 @@ class CADViewConfig:
     generated_l:
         Candidate clusters per pivot value; ``None`` uses the paper's
         system-tuning default ``l = 1.5 k`` (at least ``k + 2``).
-    alpha:
-        Significance gate for Compare Attribute relevance.
-    tau_alpha:
-        Similarity threshold factor: ``tau = tau_alpha * |I|``.
-    nbins / strategy:
-        Discretization of numeric attributes.
-    max_display / label_alpha / min_share:
-        Labeling thresholds (see :class:`LabelingConfig`).
     fs_sample / cluster_sample:
         Optimization 1 — row-sample caps (``None`` disables) for feature
         selection and clustering respectively.
@@ -56,25 +53,15 @@ class CADViewConfig:
         Optimization 2 — generate fewer candidates on broad result sets.
     seed:
         RNG seed for clustering.
-    exact_topk:
-        Use div-astar (True) or the greedy baseline (False).
     """
 
     compare_limit: int = 5
     iunits_k: int = 3
     generated_l: Optional[int] = None
-    alpha: float = 0.05
-    tau_alpha: float = 0.7
-    nbins: int = 6
-    strategy: str = "width"
-    max_display: int = 2
-    label_alpha: float = 0.05
-    min_share: float = 0.15
     fs_sample: Optional[int] = None
     cluster_sample: Optional[int] = None
     adaptive_l: bool = False
     seed: int = 0
-    exact_topk: bool = True
 
     def effective_l(self, result_size: int = 0) -> int:
         """Candidate cluster count, honoring ``adaptive_l`` (Sec. 6.3)."""
@@ -148,7 +135,7 @@ class CADView:
     @property
     def tau(self) -> float:
         """The similarity threshold used by the view's operations."""
-        return default_tau(len(self.compare_attributes), self.config.tau_alpha)
+        return default_tau(len(self.compare_attributes))
 
     def row(self, pivot_value: str) -> Tuple[IUnit, ...]:
         """The ranked IUnits of one pivot value."""
@@ -254,5 +241,3 @@ class CADView:
             f"compare={list(self.compare_attributes)})"
         )
 
-
-_ = field

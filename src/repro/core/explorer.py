@@ -58,7 +58,7 @@ from repro.query.ast import (
     ShowCadViewsStatement,
     Statement,
 )
-from repro.query.analyzer import Analyzer, AnalyzerLimits
+from repro.query.analyzer import Analyzer
 from repro.query.diagnostics import AnalysisReport
 from repro.query.engine import QueryEngine
 from repro.query.parser import parse
@@ -77,8 +77,9 @@ class Session:
     Tables and named views are shared across sessions (the catalog);
     the *results of the most recent statement* — the build report and
     the analyzer report — are per-session, so concurrent sessions never
-    clobber each other's ``last_report``.  Dropping a view clears the
-    ``last_report`` of any session that still holds its report.
+    clobber each other's ``last_report``.  Dropping a view, or creating
+    another over its name, clears the ``last_report`` of any session
+    that still holds its report.
     """
 
     name: str = DEFAULT_SESSION
@@ -144,7 +145,6 @@ class DBExplorer:
         budget: Optional[Budget] = None,
         faults: Optional[FaultInjector] = None,
         tracer: Optional[Tracer] = None,
-        analyzer_limits: Optional[AnalyzerLimits] = None,
         worklog: Optional[WorkLogWriter] = None,
     ):
         self.engine = QueryEngine()
@@ -154,10 +154,6 @@ class DBExplorer:
             FaultInjector.from_env()
         )
         self.tracer = tracer
-        self.analyzer_limits = (
-            analyzer_limits if analyzer_limits is not None
-            else AnalyzerLimits()
-        )
         # like faults: the REPRO_WORKLOG env var enables capture without
         # code changes; an explicit writer (or NO_WORKLOG) overrides it
         self.worklog = worklog if worklog is not None else (
@@ -196,9 +192,9 @@ class DBExplorer:
     def _forget_report(self, report: Optional[BuildReport]) -> None:
         """Clear every session's ``last_report`` that is ``report``.
 
-        A dropped view's report (span tree included) must not outlive
-        the view on the session that built it: sessions are never
-        evicted.  Readers compare reports by identity, so ``None``
+        A dropped or replaced view's report (span tree included) must
+        not outlive the view on the session that built it: sessions are
+        never evicted.  Readers compare reports by identity, so ``None``
         reads as "no build this statement".
         """
         if report is None:
@@ -428,10 +424,7 @@ class DBExplorer:
             stmt = parse(stmt_or_sql)
         else:
             stmt = stmt_or_sql
-        analyzer = Analyzer(
-            engine=self.engine, views=self._views,
-            limits=self.analyzer_limits,
-        )
+        analyzer = Analyzer(engine=self.engine, views=self._views)
         return analyzer.analyze(stmt, text=text)
 
     @property
@@ -539,7 +532,9 @@ class DBExplorer:
                 cad.report.record_analysis_warning(str(diag))
         if stmt.order_by:
             cad = _sort_iunits(cad, stmt.order_by)
-        self._views.set(stmt.name, cad)
+        replaced = self._views.set(stmt.name, cad)
+        if replaced is not None:
+            self._forget_report(replaced.report)
         return cad
 
     # -- EXPLAIN ------------------------------------------------------------

@@ -2,7 +2,6 @@
 
 from repro.facets.digest import Digest
 from repro.facets.engine import FacetedEngine, FacetSession
-from repro.facets.ranking import FacetRank, rank_facets
 from repro.facets.tpfacet import Phase, TPFacetSession
 
 __all__ = [
@@ -11,5 +10,4 @@ __all__ = [
     "FacetSession",
     "Phase",
     "TPFacetSession",
-    "FacetRank", "rank_facets",
 ]

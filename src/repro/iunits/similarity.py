@@ -37,6 +37,11 @@ __all__ = [
     "ranked_list_distances",
 ]
 
+# The similarity threshold's share of the attainable maximum |I| (the
+# paper's heuristic): two IUnits count as similar when their Algorithm 1
+# similarity reaches 70% of it.
+_TAU_FACTOR = 0.7
+
 
 def _check_same_attributes(x: IUnit, y: IUnit) -> None:
     if x.compare_attributes != y.compare_attributes:
@@ -115,11 +120,9 @@ def similarity_matrix(iunits: Sequence[IUnit]) -> np.ndarray:
     return total
 
 
-def default_tau(n_compare: int, alpha: float = 0.7) -> float:
-    """The paper's similarity threshold heuristic ``tau = alpha * |I|``."""
-    if not 0.0 < alpha < 1.0:
-        raise CADViewError(f"alpha must be in (0, 1), got {alpha}")
-    return alpha * n_compare
+def default_tau(n_compare: int) -> float:
+    """The paper's similarity threshold heuristic ``tau = 0.7 * |I|``."""
+    return _TAU_FACTOR * n_compare
 
 
 def _rank_costs(similar: Sequence[Sequence[bool]], other_len: int) -> float:

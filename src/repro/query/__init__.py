@@ -11,13 +11,12 @@ from repro.query.ast import (
     ShowCadViewsStatement,
     Statement,
 )
-from repro.query.aggregate import AggregateSpec, GroupedResult, cube, group_by
-from repro.query.analyzer import Analyzer, AnalyzerLimits
+from repro.query.aggregate import AggregateSpec, GroupedResult, group_by
+from repro.query.analyzer import Analyzer
 from repro.query.diagnostics import (
     AnalysisReport, Diagnostic, Severity, levenshtein, suggest,
 )
 from repro.query.engine import QueryEngine
-from repro.query.join import hash_join
 from repro.query.parser import parse, parse_predicate
 from repro.query.predicates import (
     And, Between, Cmp, Eq, In, IsMissing, Ne, Not, Or, Predicate, TruePred,
@@ -27,12 +26,11 @@ __all__ = [
     "Predicate", "TruePred", "Eq", "Ne", "In", "Between", "Cmp",
     "IsMissing", "And", "Or", "Not",
     "QueryEngine",
-    "AggregateSpec", "GroupedResult", "group_by", "cube",
+    "AggregateSpec", "GroupedResult", "group_by",
     "parse", "parse_predicate",
     "Statement", "SelectStatement", "CreateCadViewStatement",
     "HighlightSimilarStatement", "ReorderRowsStatement", "OrderKey",
     "DescribeStatement", "ShowCadViewsStatement", "DropCadViewStatement",
-    "hash_join",
-    "Analyzer", "AnalyzerLimits",
+    "Analyzer",
     "AnalysisReport", "Diagnostic", "Severity", "levenshtein", "suggest",
 ]

@@ -1,26 +1,24 @@
-"""Group-by aggregation and small data cubes.
+"""Group-by aggregation.
 
 The paper's related work positions the CAD View against warehouse-style
 summaries ("Large volumes of relational data are often summarized using
 data warehousing and OLAP technology" — Gray et al.'s data cube [10]).
 This module provides that baseline: single- and multi-key group-by with
-the usual aggregates, and a CUBE operator producing all grouping-set
-roll-ups, so benches and examples can contrast context-dependent CAD
+the usual aggregates, so examples can contrast context-dependent CAD
 summaries with user-independent OLAP ones.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Mapping, Sequence, Tuple
 
 import numpy as np
 
 from repro.dataset.table import Table
 from repro.errors import QueryError
 
-__all__ = ["AggregateSpec", "GroupedResult", "group_by", "cube"]
+__all__ = ["AggregateSpec", "GroupedResult", "group_by"]
 
 #: Aggregate implementations over a float array of group members.
 _AGGREGATES: Dict[str, Callable[[np.ndarray], float]] = {
@@ -32,9 +30,6 @@ _AGGREGATES: Dict[str, Callable[[np.ndarray], float]] = {
     "std": lambda v: float(np.nanstd(v)) if v.size else float("nan"),
     "median": lambda v: float(np.nanmedian(v)) if v.size else float("nan"),
 }
-
-#: The ALL marker used by cube roll-ups (as in Gray et al.).
-ALL = "*"
 
 
 @dataclass(frozen=True)
@@ -62,7 +57,7 @@ class AggregateSpec:
 
 @dataclass(frozen=True)
 class GroupedResult:
-    """Output of :func:`group_by` / one grouping set of :func:`cube`.
+    """Output of :func:`group_by`.
 
     ``keys`` are the group-by attribute names; ``rows`` maps each key
     tuple to its aggregate values, keyed by :attr:`AggregateSpec.label`.
@@ -142,34 +137,3 @@ def group_by(
         rows[key] = out
     return GroupedResult(keys, rows)
 
-
-def cube(
-    table: Table,
-    keys: Sequence[str],
-    aggregates: Sequence[AggregateSpec] = (AggregateSpec("count"),),
-    max_dims: Optional[int] = None,
-) -> Dict[Tuple[str, ...], GroupedResult]:
-    """All grouping-set roll-ups of ``keys`` (the CUBE operator).
-
-    Returns a mapping from grouping set (a tuple of key names; ``()`` is
-    the grand total) to its :class:`GroupedResult`.  ``max_dims`` caps
-    the grouping-set size, like a partial cube.
-    """
-    keys = tuple(keys)
-    table.schema.require(keys)
-    limit = len(keys) if max_dims is None else min(max_dims, len(keys))
-    out: Dict[Tuple[str, ...], GroupedResult] = {}
-    # grand total
-    total_rows: Dict[Tuple, Dict[str, float]] = {(): {}}
-    for spec in aggregates:
-        if spec.func == "count":
-            total_rows[()][spec.label] = float(len(table))
-        else:
-            total_rows[()][spec.label] = _AGGREGATES[spec.func](
-                table[spec.attribute].numbers
-            )
-    out[()] = GroupedResult((), total_rows)
-    for size in range(1, limit + 1):
-        for subset in combinations(keys, size):
-            out[subset] = group_by(table, subset, aggregates)
-    return out

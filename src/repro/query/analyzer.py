@@ -17,7 +17,7 @@ Checks implemented (code table in :mod:`repro.query.diagnostics`):
   on categorical attributes, no non-numeric literal against numeric
   attributes;
 * CADVIEW rules: pivot must be categorical or discretizable, LIMIT
-  COLUMNS / IUNITS within the configured caps, in-view search targets
+  COLUMNS / IUNITS within fixed caps, in-view search targets
   (pivot value, IUnit id, threshold) must exist in the named view;
 * predicate logic over interval/set constraints per column:
   contradictions (``price > 9 AND price < 5`` — always empty, an
@@ -35,7 +35,6 @@ Usage::
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.dataset.table import Table
@@ -55,21 +54,14 @@ from repro.query.predicates import (
     And, Between, Cmp, Eq, In, IsMissing, Ne, Not, Or, Predicate, TruePred,
 )
 
-__all__ = ["Analyzer", "AnalyzerLimits"]
+__all__ = ["Analyzer"]
 
-
-@dataclass(frozen=True)
-class AnalyzerLimits:
-    """Configured caps for the sizing clauses.
-
-    The defaults bound the view to what the paper's front-end can
-    usefully display (Table 1 shows 5 Compare Attributes and 3 IUnits
-    per row); a production deployment tightens or loosens them.
-    """
-
-    max_compare_columns: int = 24
-    max_iunits: int = 16
-    wide_pivot_warning: int = 30    # distinct pivot values before QA406
+# Caps on the sizing clauses.  They bound the view to what the paper's
+# front-end can usefully display (Table 1 shows 5 Compare Attributes and
+# 3 IUnits per row).
+MAX_COMPARE_COLUMNS = 24    # LIMIT COLUMNS above this is QA404
+MAX_IUNITS = 16             # IUNITS above this is QA405
+WIDE_PIVOT_WARNING = 30     # distinct pivot values above this warn QA406
 
 
 def _is_float(value) -> bool:
@@ -132,11 +124,9 @@ class Analyzer:
         self,
         engine=None,
         views: Optional[Mapping[str, object]] = None,
-        limits: AnalyzerLimits = AnalyzerLimits(),
     ):
         self.engine = engine
         self.views = views
-        self.limits = limits
 
     # -- entry point ------------------------------------------------------
 
@@ -268,7 +258,7 @@ class Analyzer:
                 )
             elif attr.is_categorical:
                 distinct = len(col.distinct_values())
-                if distinct > self.limits.wide_pivot_warning:
+                if distinct > WIDE_PIVOT_WARNING:
                     report.warning(
                         "QA406",
                         f"pivot attribute {stmt.pivot!r} has {distinct} "
@@ -289,22 +279,18 @@ class Analyzer:
                 )
         if (
             stmt.limit_columns is not None
-            and stmt.limit_columns > self.limits.max_compare_columns
+            and stmt.limit_columns > MAX_COMPARE_COLUMNS
         ):
             report.error(
                 "QA404",
                 f"LIMIT COLUMNS {stmt.limit_columns} exceeds the "
-                f"configured cap of {self.limits.max_compare_columns}",
+                f"cap of {MAX_COMPARE_COLUMNS}",
                 span=self._span(stmt, "limit_columns"),
             )
-        if (
-            stmt.iunits is not None
-            and stmt.iunits > self.limits.max_iunits
-        ):
+        if stmt.iunits is not None and stmt.iunits > MAX_IUNITS:
             report.error(
                 "QA405",
-                f"IUNITS {stmt.iunits} exceeds the configured cap of "
-                f"{self.limits.max_iunits}",
+                f"IUNITS {stmt.iunits} exceeds the cap of {MAX_IUNITS}",
                 span=self._span(stmt, "iunits"),
             )
         for i, key in enumerate(stmt.order_by):

@@ -79,14 +79,10 @@ class BreakerConfig:
     cooldown_s:
         How long an open breaker short-circuits builds before allowing
         a half-open probe.
-    probe_successes:
-        Probe builds that must succeed in half-open before the breaker
-        closes again.
     """
 
     trip_after: int = 3
     cooldown_s: float = 5.0
-    probe_successes: int = 1
 
     def __post_init__(self) -> None:
         if self.trip_after < 1:
@@ -96,10 +92,6 @@ class BreakerConfig:
         if self.cooldown_s <= 0:
             raise ValueError(
                 f"cooldown_s must be > 0, got {self.cooldown_s}"
-            )
-        if self.probe_successes < 1:
-            raise ValueError(
-                f"probe_successes must be >= 1, got {self.probe_successes}"
             )
 
 
@@ -120,7 +112,6 @@ class CircuitBreaker:
         self._lock = threading.Lock()
         self._state = BreakerState.CLOSED
         self._failures = 0          # consecutive, while closed
-        self._probes_ok = 0         # successful probes, while half-open
         self._opened_at = 0.0
         self._probe_in_flight = False
 
@@ -155,11 +146,10 @@ class CircuitBreaker:
         """Record a completed build (ok or degraded — both count)."""
         with self._lock:
             if self._state is BreakerState.HALF_OPEN and probe:
+                # the first successful probe closes the breaker
                 self._probe_in_flight = False
-                self._probes_ok += 1
-                if self._probes_ok >= self.config.probe_successes:
-                    self._transition(BreakerState.CLOSED)
-                    self._failures = 0
+                self._transition(BreakerState.CLOSED)
+                self._failures = 0
             elif self._state is BreakerState.CLOSED:
                 self._failures = 0
 
@@ -223,8 +213,6 @@ class CircuitBreaker:
             self._now() - self._opened_at >= self.config.cooldown_s
         ):
             self._transition(BreakerState.HALF_OPEN)
-            # repro-lint: ignore[RL007]
-            self._probes_ok = 0
             # repro-lint: ignore[RL007]
             self._probe_in_flight = False
 

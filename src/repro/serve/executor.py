@@ -91,7 +91,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only, avoids serve<->core cycle
 __all__ = [
     "ServeConfig", "SessionExecutor", "StatementTicket", "OUTCOMES",
     "Execution", "open_ticket", "admit", "execute_with_retries",
-    "retry_after_s", "ewma_s",
+    "retry_after_s", "ewma_s", "capped_backoff_s",
 ]
 
 OUTCOMES = ("ok", "degraded", "rejected", "failed")
@@ -110,6 +110,9 @@ _TRANSIENT_ERRORS = (ConvergenceError, RuntimeError, OSError)
 _BACKOFF_BASE_S = 0.02
 _BACKOFF_CAP_S = 0.5
 _RETRY_JITTER_SEED = 0
+
+# How often the watchdog scans outstanding deadlines.
+_WATCHDOG_INTERVAL_S = 0.005
 
 
 @dataclass(frozen=True)
@@ -137,8 +140,6 @@ class ServeConfig:
         dataset's breaker is open its builds run under the tight
         :func:`~repro.serve.breaker.default_open_budget` (the
         short-circuit to the degradation ladder).
-    watchdog_interval_s:
-        How often the watchdog scans outstanding deadlines.
     """
 
     workers: int = 4
@@ -146,7 +147,6 @@ class ServeConfig:
     deadline_s: Optional[float] = None
     max_retries: int = 2
     breaker: Optional[BreakerConfig] = field(default_factory=BreakerConfig)
-    watchdog_interval_s: float = 0.005
 
     def __post_init__(self) -> None:
         if self.workers < 1:
@@ -162,11 +162,6 @@ class ServeConfig:
         if self.max_retries < 0:
             raise ValueError(
                 f"max_retries must be >= 0, got {self.max_retries}"
-            )
-        if self.watchdog_interval_s <= 0:
-            raise ValueError(
-                f"watchdog_interval_s must be > 0, "
-                f"got {self.watchdog_interval_s}"
             )
 
 
@@ -475,8 +470,17 @@ def execute_with_retries(
     )
 
 
+def capped_backoff_s(base_s: float, cap_s: float, n: int) -> float:
+    """The exponential backoff ``min(cap_s, base_s * 2**n)``.
+
+    One formula for the transient-retry sleeps (:func:`_backoff_s`) and
+    the supervisor's worker-restart delays.
+    """
+    return min(cap_s, base_s * (2.0 ** n))
+
+
 def _backoff_s(index: int, attempt: int) -> float:
-    base = min(_BACKOFF_CAP_S, _BACKOFF_BASE_S * (2.0 ** attempt))
+    base = capped_backoff_s(_BACKOFF_BASE_S, _BACKOFF_CAP_S, attempt)
     rng = random.Random(
         _RETRY_JITTER_SEED * 1_000_003 + index * 1_009 + attempt
     )
@@ -715,7 +719,7 @@ class SessionExecutor:
     # -- watchdog ----------------------------------------------------------
 
     def _watchdog_loop(self) -> None:
-        while not self._stop.wait(self.config.watchdog_interval_s):
+        while not self._stop.wait(_WATCHDOG_INTERVAL_S):
             now = self._now()
             with self._lock:
                 tickets = list(self._outstanding.values())

@@ -121,6 +121,7 @@ from repro.serve.durability.wal import WalWriter
 from repro.serve.executor import (
     StatementTicket,
     admit,
+    capped_backoff_s,
     ewma_s,
     open_ticket,
     retry_after_s,
@@ -1012,10 +1013,10 @@ class ProcSupervisor:
             draining = self._draining or self._closed
             if cause != "drain":
                 shard.failures += 1
-                delay = min(
+                delay = capped_backoff_s(
+                    self.config.restart_backoff_base_s,
                     self.config.restart_backoff_cap_s,
-                    self.config.restart_backoff_base_s
-                    * (2.0 ** (shard.failures - 1)),
+                    shard.failures - 1,
                 )
                 shard.restart_at = self._now() + delay
                 self._restart_delays.append(delay)

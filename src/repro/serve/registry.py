@@ -61,12 +61,15 @@ class ViewRegistry(Mapping):
 
     # -- mutation (copy under the lock, swap one reference) ---------------
 
-    def set(self, name: str, view: object) -> None:
-        """Create or replace a named view atomically."""
+    def set(self, name: str, view: object) -> Optional[object]:
+        """Create or replace a named view atomically; return the view
+        it replaced, or ``None``."""
         with self._lock:
             views = dict(self._views)
+            replaced = views.get(name)
             views[name] = view
             self._views = views
+        return replaced
 
     def drop(self, name: str) -> object:
         """Remove a named view and return it; raises when it does not

@@ -1,11 +1,9 @@
-"""Unit tests for group-by aggregation and the CUBE operator."""
-
-import math
+"""Unit tests for group-by aggregation."""
 
 import pytest
 
 from repro.errors import QueryError
-from repro.query import AggregateSpec, cube, group_by
+from repro.query import AggregateSpec, group_by
 
 
 class TestAggregateSpec:
@@ -85,29 +83,3 @@ class TestGroupBy:
         keys = g.sorted_keys()
         assert keys == sorted(keys, key=lambda k: tuple(map(str, k)))
 
-
-class TestCube:
-    def test_grouping_sets(self, toy_table):
-        c = cube(toy_table, ["city", "stars"])
-        assert set(c) == {(), ("city",), ("stars",), ("city", "stars")}
-
-    def test_grand_total(self, toy_table):
-        c = cube(toy_table, ["city"])
-        assert c[()].value((), "count(*)") == len(toy_table)
-
-    def test_rollup_consistency(self, toy_table):
-        """Every grouping set must account for all tuples."""
-        c = cube(toy_table, ["city", "stars"])
-        for gset, result in c.items():
-            total = sum(r["count(*)"] for r in result.rows.values())
-            assert total == len(toy_table), gset
-
-    def test_max_dims(self, toy_table):
-        c = cube(toy_table, ["city", "stars"], max_dims=1)
-        assert ("city", "stars") not in c
-        assert ("city",) in c
-
-    def test_numeric_aggregate_in_cube(self, toy_table):
-        c = cube(toy_table, ["city"], [AggregateSpec("mean", "price")])
-        grand = c[()].value((), "mean(price)")
-        assert not math.isnan(grand)

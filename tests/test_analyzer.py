@@ -20,7 +20,6 @@ from repro.errors import AnalysisError, CADViewError, QueryError
 from repro.obs.tracer import Tracer
 from repro.query import (
     Analyzer,
-    AnalyzerLimits,
     Cmp,
     Eq,
     SelectStatement,
@@ -243,42 +242,38 @@ class TestCadviewRules:
         assert "QA403" in report.codes()
 
     def test_limit_columns_cap_qa404(self, dbx):
-        report = report_of(
-            dbx,
+        sql = (
             "CREATE CADVIEW v AS SET pivot = city SELECT price "
-            "FROM Hotels LIMIT COLUMNS 1000",
+            "FROM Hotels LIMIT COLUMNS {}"
         )
+        assert "QA404" not in report_of(dbx, sql.format(24)).codes()
+        report = report_of(dbx, sql.format(25))
         assert "QA404" in report.codes()
         assert not report.ok
 
     def test_iunits_cap_qa405(self, dbx):
-        report = report_of(
-            dbx,
+        sql = (
             "CREATE CADVIEW v AS SET pivot = city SELECT price "
-            "FROM Hotels IUNITS 1000",
+            "FROM Hotels IUNITS {}"
         )
+        assert "QA405" not in report_of(dbx, sql.format(16)).codes()
+        report = report_of(dbx, sql.format(17))
         assert "QA405" in report.codes()
         assert not report.ok
 
-    def test_caps_are_configurable(self, toy_table):
-        dbx = DBExplorer(
-            analyzer_limits=AnalyzerLimits(max_iunits=2000)
-        )
-        dbx.register("Hotels", toy_table)
-        report = dbx.analyze(
-            "CREATE CADVIEW v AS SET pivot = city SELECT price "
-            "FROM Hotels IUNITS 1000"
-        )
-        assert "QA405" not in report.codes()
-
-    def test_wide_pivot_qa406_warns(self, toy_table):
-        dbx = DBExplorer(
-            analyzer_limits=AnalyzerLimits(wide_pivot_warning=2)
-        )
-        dbx.register("Hotels", toy_table)
-        report = dbx.analyze(
-            "CREATE CADVIEW v AS SET pivot = city SELECT price FROM Hotels"
-        )
+    def test_wide_pivot_qa406_warns(self):
+        schema = Schema([
+            Attribute("label", AttrKind.CATEGORICAL),
+            Attribute("x", AttrKind.NUMERIC),
+        ])
+        dbx = DBExplorer()
+        for distinct in (30, 31):
+            dbx.register(f"T{distinct}", Table.from_rows(schema, [
+                {"label": f"v{i}", "x": float(i)} for i in range(distinct)
+            ]))
+        sql = "CREATE CADVIEW v AS SET pivot = label SELECT x FROM {}"
+        assert "QA406" not in dbx.analyze(sql.format("T30")).codes()
+        report = dbx.analyze(sql.format("T31"))
         assert "QA406" in report.codes()
         assert report.ok
 

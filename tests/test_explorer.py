@@ -249,3 +249,16 @@ class TestSessionReports:
         fresh.execute("DROP CADVIEW Gone", session="u1")
         assert fresh.session("u1").last_report is kept.report
         assert fresh.session("u2").last_report is None
+
+    def test_replacing_a_view_clears_its_report(self, fresh):
+        fresh.execute(self.SUVS.format("V"), session="u1")
+        new = fresh.execute(self.SUVS.format("V"), session="u2")
+        assert fresh.session("u1").last_report is None
+        assert fresh.session("u2").last_report is new.report
+        # REORDER replaces the view with a copy sharing its report
+        fresh.execute(
+            f"REORDER ROWS IN V ORDER BY "
+            f"SIMILARITY({new.pivot_values[-1]}) DESC", session="u1",
+        )
+        assert fresh.view("V").report is new.report
+        assert fresh.session("u2").last_report is new.report

@@ -17,6 +17,12 @@ spell it in a string, as ``perfbench/tracing.py`` spells the entry
 points it wraps.  An ``__all__`` entry is not a use.  Names are matched
 bare, so a method counts as used wherever an attribute of its name is
 read.
+
+And each field of a ``*Config`` dataclass under ``src/repro`` is a
+setting some caller outside the tests sets: a file of those roots
+passes it by keyword to the class's constructor, or to ``replace``,
+``with_`` or ``dict`` (the CLI gathers the serve knobs it shares in a
+``dict``).  A field nothing sets is a constant spelled as an option.
 """
 
 from __future__ import annotations
@@ -24,7 +30,7 @@ from __future__ import annotations
 import ast
 from functools import lru_cache
 from pathlib import Path
-from typing import Dict, Iterator, Optional, Set
+from typing import Dict, Iterator, Optional, Set, Tuple
 
 REPO = Path(__file__).resolve().parent.parent
 SRC = REPO / "src"
@@ -33,21 +39,31 @@ USER_ROOTS = ("src/repro", "benchmarks", "perfbench", "examples", "tools")
 # Modules that only tests import.  Equality is asserted, so the set can
 # only shrink: deleting one of these modules, or giving it a user,
 # means removing it here.
-TEST_ONLY = {
-    "repro.facets.ranking",
-    "repro.query.join",
-}
+TEST_ONLY: Set[str] = set()
 
 # Public functions, classes and methods that only tests use; shrink-only
 # like TEST_ONLY.
 TEST_ONLY_NAMES = {
-    "categorical_names", "concat", "conditional", "cube",
-    "edge_strength", "evaluated", "facet_values", "fired", "group_count",
-    "hash_join", "hidden_names", "incarnations", "index_of", "label_of",
-    "neighbors", "numeric_names", "operation_count", "random_subsets",
-    "rank_facets", "sample_codes", "selectivity", "significant",
-    "to_csv_string", "toggle_phase", "total_counter",
+    "categorical_names", "concat", "conditional", "edge_strength",
+    "evaluated", "facet_values", "fired", "group_count", "hidden_names",
+    "incarnations", "index_of", "label_of", "neighbors", "numeric_names",
+    "operation_count", "random_subsets", "sample_codes", "selectivity",
+    "significant", "to_csv_string", "toggle_phase", "total_counter",
 }
+
+# ``Class.field`` settings that only tests set; shrink-only like
+# TEST_ONLY.  The labeling oracles sweep LabelingConfig's thresholds;
+# the proc tests shorten the supervisor's scans and restart waits and
+# exhaust its resubmits.
+TEST_ONLY_FIELDS = {
+    "LabelingConfig.alpha", "LabelingConfig.max_display",
+    "LabelingConfig.min_share",
+    "ProcServeConfig.monitor_interval_s", "ProcServeConfig.proc_retries",
+    "ProcServeConfig.restart_backoff_base_s",
+}
+
+# Callees that set a field by keyword without naming the class.
+_COPIERS = ("replace", "with_", "dict")
 
 
 def _module_files() -> Dict[str, Path]:
@@ -176,4 +192,63 @@ def test_every_public_name_has_a_user_outside_tests():
     assert unused == TEST_ONLY_NAMES, (
         f"used only by tests: {sorted(unused - TEST_ONLY_NAMES)}; "
         f"no longer test-only: {sorted(TEST_ONLY_NAMES - unused)}"
+    )
+
+
+def _config_fields() -> Dict[str, Set[str]]:
+    """Class name -> field names of every ``*Config`` dataclass."""
+    out = {}
+    for path in MODULES.values():
+        for node in ast.walk(_tree(path)):
+            if not (isinstance(node, ast.ClassDef)
+                    and node.name.endswith("Config")):
+                continue
+            decorators = [
+                d.func if isinstance(d, ast.Call) else d
+                for d in node.decorator_list
+            ]
+            if any(isinstance(d, ast.Name) and d.id == "dataclass"
+                   for d in decorators):
+                out[node.name] = {
+                    stmt.target.id for stmt in node.body
+                    if isinstance(stmt, ast.AnnAssign)
+                    and isinstance(stmt.target, ast.Name)
+                }
+    return out
+
+
+def _keywords(path: Path) -> Iterator[Tuple[str, str]]:
+    """(callee name, keyword) for every keyword argument in the file."""
+    for node in ast.walk(_tree(path)):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        if isinstance(func, ast.Name):
+            callee = func.id
+        elif isinstance(func, ast.Attribute):
+            callee = func.attr
+        else:
+            continue
+        for kw in node.keywords:
+            if kw.arg is not None:
+                yield callee, kw.arg
+
+
+def test_every_config_field_is_set_outside_tests():
+    passed = {
+        pair
+        for root in USER_ROOTS
+        for path in (REPO / root).rglob("*.py")
+        for pair in _keywords(path)
+    }
+    copied = {kw for callee, kw in passed if callee in _COPIERS}
+    unset = {
+        f"{cls}.{name}"
+        for cls, names in _config_fields().items()
+        for name in names
+        if (cls, name) not in passed and name not in copied
+    }
+    assert unset == TEST_ONLY_FIELDS, (
+        f"set only by tests: {sorted(unset - TEST_ONLY_FIELDS)}; "
+        f"no longer test-only: {sorted(TEST_ONLY_FIELDS - unset)}"
     )

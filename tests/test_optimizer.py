@@ -63,24 +63,15 @@ class TestBuildProfile:
         p.record("compare_attrs", 0.1)
         p.record("iunits", 0.2)
         p.record("others", 0.3)
-        p.record("custom_phase", 0.4)
         p.record("compare_attrs", 0.05)
         assert p.compare_attrs_s == pytest.approx(0.15)
-        # unknown buckets land in the explicit time/ namespace so they
-        # can never collide with count/ entries
-        assert "time/custom_phase" in p.extra
-        assert "custom_phase" not in p.extra
         assert p.total_s == pytest.approx(
             p.compare_attrs_s + p.iunits_s + p.others_s
         )
-
-    def test_counts_namespaced(self):
-        p = BuildProfile()
-        p.count("retries")
-        p.count("retries", 2)
-        p.record("retries", 0.5)  # a *time* bucket of the same name
-        assert p.extra["count/retries"] == 3
-        assert p.extra["time/retries"] == pytest.approx(0.5)
+        # only the paper's three buckets exist
+        with pytest.raises(ValueError, match="custom_phase"):
+            p.record("custom_phase", 0.4)
+        assert p.total_s == pytest.approx(0.65)
 
     def test_as_dict_and_str(self):
         p = BuildProfile(compare_attrs_s=0.1, iunits_s=0.2, others_s=0.3)

@@ -76,7 +76,6 @@ class TestServeConfig:
         {"deadline_s": 0.0},
         {"deadline_s": -1.0},
         {"max_retries": -1},
-        {"watchdog_interval_s": 0.0},
     ])
     def test_rejects_bad_knobs(self, kwargs):
         with pytest.raises(ValueError):
@@ -87,8 +86,6 @@ class TestServeConfig:
             BreakerConfig(trip_after=0)
         with pytest.raises(ValueError):
             BreakerConfig(cooldown_s=0.0)
-        with pytest.raises(ValueError):
-            BreakerConfig(probe_successes=0)
 
 
 # -- the breaker state machine, transition by transition -------------------
@@ -100,7 +97,6 @@ class TestCircuitBreaker:
         config = BreakerConfig(
             trip_after=kwargs.pop("trip_after", 3),
             cooldown_s=kwargs.pop("cooldown_s", 5.0),
-            probe_successes=kwargs.pop("probe_successes", 1),
         )
         brk = CircuitBreaker(
             "data", config, now=clock, metrics=MetricsRegistry()
@@ -354,8 +350,7 @@ class TestSessionExecutor:
         dbx = _explorer(cars)
         metrics = MetricsRegistry()
         config = ServeConfig(
-            workers=1, deadline_s=0.05, watchdog_interval_s=0.005,
-            breaker=None,
+            workers=1, deadline_s=0.05, breaker=None,
         )
         stall = FaultInjector.parse("serve.slow_worker=sleep:0.3*1")
         with SessionExecutor(dbx, config, metrics=metrics) as ex:

@@ -72,13 +72,7 @@ class TestAlgorithm1:
 
 class TestDefaultTau:
     def test_scales_with_attrs(self):
-        assert default_tau(5, 0.7) == pytest.approx(3.5)
-
-    def test_alpha_bounds(self):
-        with pytest.raises(CADViewError):
-            default_tau(5, 0.0)
-        with pytest.raises(CADViewError):
-            default_tau(5, 1.0)
+        assert default_tau(5) == pytest.approx(3.5)
 
 
 class TestAlgorithm2:
