@@ -62,8 +62,9 @@ def test_figure8_series(cars40k, bench_emit):
     totals = []
     series = []
     # warm-up builds, discarded and outside the work tally: a fresh
-    # process's first second of multi-threaded BLAS can run far slower
-    # than steady state, which would land on the smallest point only
+    # process's first builds (first calls, cold caches; no BLAS runs on
+    # the build path) can run slower than steady state, which would
+    # land on the smallest point only
     measure(cars40k, SIZES[-1], simulations=WARMUP_BUILDS)
     # the sweep is fully seeded, so its work counters are exact-gated
     # integers in the emitted payload (see benchmarks/regress.py)

@@ -38,7 +38,9 @@ require:
   statement records complete (statement text, kind, a known status,
   non-negative ``elapsed_ms``) with their span-derived per-phase times
   reconciling: ``sum(phases_ms) <= elapsed_ms`` up to a small
-  tolerance — phases are a breakdown of the statement, never more.
+  tolerance — phases are a breakdown of the statement, never more —
+  and every ``ok`` ``create_cadview`` record naming its build's input
+  rows as an integer ``rows_in``, in either serving mode.
 """
 
 from __future__ import annotations
@@ -299,6 +301,15 @@ def validate_worklog(path: str) -> List[str]:
         if record.get("status") not in WORKLOG_STATUSES:
             problems.append(
                 f"{where}: unknown status {record.get('status')!r}"
+            )
+        if (
+            record.get("statement_kind") == "create_cadview"
+            and record.get("status") == "ok"
+            and not isinstance(record.get("rows_in"), int)
+        ):
+            problems.append(
+                f"{where}: ok create_cadview record without an integer "
+                f"rows_in (got {record.get('rows_in')!r})"
             )
         elapsed = record.get("elapsed_ms")
         if not isinstance(elapsed, (int, float)) or elapsed < 0:

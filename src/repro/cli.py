@@ -629,7 +629,6 @@ def _serving(args, statements: int):
                 shards=procs,
                 drain_grace_s=args.drain_grace_ms / 1e3,
                 state_dir=args.state_dir,
-                fsync_interval_ms=args.fsync_interval_ms,
                 wal_segment_max_bytes=args.wal_segment_bytes,
                 wal_snapshot_every=args.wal_snapshot_every,
                 **knobs,
@@ -1290,11 +1289,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "in DIR; startup recovers whatever a previous "
                         "process made durable (with --torture: the "
                         "root for per-iteration state dirs)")
-    p.add_argument("--fsync-interval-ms", type=float, default=0.0,
-                   metavar="MS",
-                   help="group-commit window: mutations acked within "
-                        "the same window share one fsync (0 = fsync "
-                        "inline per mutation; default 0)")
     p.add_argument("--wal-segment-bytes", type=int, default=1 << 20,
                    metavar="BYTES",
                    help="rotate the WAL segment past this size")

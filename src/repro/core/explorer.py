@@ -63,7 +63,7 @@ from repro.query.diagnostics import AnalysisReport
 from repro.query.engine import QueryEngine
 from repro.query.parser import parse
 
-__all__ = ["DBExplorer", "Prepared", "Session"]
+__all__ = ["DBExplorer", "Prepared", "Session", "statement_fields"]
 
 ExecuteResult = Union[str, Table, CADView, List[Tuple[IUnitRef, float]]]
 
@@ -302,6 +302,9 @@ class DBExplorer:
         )
         start = time.perf_counter()
         report_before = sess.last_report
+        # cleared before the parse: a statement that fails to parse
+        # must not log the previous statement's analyzer warnings
+        sess.last_analysis = None
         stmt = None
         # the deterministic work counters for this statement accumulate
         # in a context-local scope (concurrent sessions on executor
@@ -332,7 +335,6 @@ class DBExplorer:
     ) -> ExecuteResult:
         """The analyzer gate and dispatch behind :meth:`execute`."""
         sess = ctx.session
-        sess.last_analysis = None
         sess.statements += 1
         if prepared is None or not (
             prepared.views is self._views.snapshot()
@@ -371,43 +373,16 @@ class DBExplorer:
         report = ctx.session.last_report
         if report is report_before:
             report = None
-        phases_ms = rows_in = pivot = None
-        degradations: List[str] = []
-        if report is not None:
-            if report.profile is not None:
-                phases_ms = {
-                    "compare_attrs": report.profile.compare_attrs_s * 1e3,
-                    "iunits": report.profile.iunits_s * 1e3,
-                    "others": report.profile.others_s * 1e3,
-                }
-            degradations = [str(d) for d in report.degradations]
-            if report.trace is not None:
-                rows = report.trace.attrs.get("rows_in")
-                rows_in = int(rows) if rows is not None else None
-        if isinstance(stmt, CreateCadViewStatement):
-            pivot = stmt.pivot
-        analysis = ctx.session.last_analysis
-        warnings = (
-            [str(d) for d in analysis.warnings]
-            if analysis is not None else []
-        )
         self.worklog.statement(
             sql,
             statement_kind(stmt),
             statement_status(error),
             elapsed_ms,
-            rows_in=rows_in,
-            rows_out=_result_rows(result),
-            pivot=pivot,
-            phases_ms=phases_ms,
-            degradations=degradations,
-            analysis_warnings=warnings,
-            error=(
-                f"{type(error).__name__}: {error}"
-                if error is not None else None
-            ),
             session=ctx.session.name,
-            work=ctx.session.last_work,
+            **statement_fields(
+                stmt, result, error, report, ctx.session.last_analysis,
+                ctx.session.last_work,
+            ),
         )
 
     def analyze(
@@ -641,15 +616,58 @@ def _work_lines() -> List[str]:
     return lines
 
 
-def _result_rows(result: Optional[ExecuteResult]) -> Optional[int]:
-    """The result-set size of one statement, when it has one."""
-    if isinstance(result, Table):
-        return len(result)
-    if isinstance(result, CADView):
-        return len(result.pivot_values)
-    if isinstance(result, list):
-        return len(result)
-    return None
+def statement_fields(
+    stmt: Optional[Statement],
+    result: Optional[ExecuteResult],
+    error: Optional[BaseException],
+    report: Optional[BuildReport],
+    analysis: Optional[AnalysisReport],
+    work: Optional[Mapping[str, int]],
+) -> Dict[str, object]:
+    """The workload-log fields one execution of ``stmt`` determines.
+
+    ``result`` or ``error`` is its outcome, ``report`` the build report
+    it produced (``None`` when it built nothing), ``analysis`` the
+    analyzer report it passed and ``work`` its work counts.  The keys
+    are :data:`~repro.obs.worklog.STATEMENT_FIELDS`: the explorer logs
+    them, and a ``--procs`` worker ships them for its supervisor to log.
+    """
+    phases_ms = rows_in = None
+    degradations: List[str] = []
+    if report is not None:
+        if report.profile is not None:
+            phases_ms = {
+                "compare_attrs": report.profile.compare_attrs_s * 1e3,
+                "iunits": report.profile.iunits_s * 1e3,
+                "others": report.profile.others_s * 1e3,
+            }
+        degradations = [str(d) for d in report.degradations]
+        if report.trace is not None:
+            rows = report.trace.attrs.get("rows_in")
+            rows_in = int(rows) if rows is not None else None
+    if isinstance(result, (Table, list)):
+        rows_out: Optional[int] = len(result)
+    elif isinstance(result, CADView):
+        rows_out = len(result.pivot_values)
+    else:
+        rows_out = None
+    return {
+        "rows_in": rows_in,
+        "rows_out": rows_out,
+        "pivot": (
+            stmt.pivot if isinstance(stmt, CreateCadViewStatement) else None
+        ),
+        "phases_ms": phases_ms,
+        "degradations": degradations,
+        "analysis_warnings": (
+            [str(d) for d in analysis.warnings]
+            if analysis is not None else []
+        ),
+        "error": (
+            f"{type(error).__name__}: {error}" if error is not None else None
+        ),
+        "work": dict(work) if work else None,
+    }
 
 
 def _sort_iunits(cad: CADView, keys: Tuple[OrderKey, ...]) -> CADView:

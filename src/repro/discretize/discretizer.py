@@ -27,6 +27,12 @@ from repro.query.predicates import Eq, Predicate
 
 __all__ = ["Discretizer", "DiscretizedView"]
 
+# Ordinal attributes with at most this many distinct values are used
+# directly (consecutive values paired) rather than binned: ``Year`` with
+# a handful of model years reads better as ``2011-2012`` pairs than as
+# wide bins.
+MAX_DIRECT_ORDINAL = 12
+
 _STRATEGIES = {
     "width": equal_width_bins,
     "depth": equal_depth_bins,
@@ -184,34 +190,19 @@ class Discretizer:
         the paper's clean ``[25K-30K]`` style labels), ``"depth"``
         (equi-depth/quantile), or ``"voptimal"`` (Jagadish–Suel).
     nbins:
-        Default number of bins for numeric attributes.
-    nbins_overrides:
-        Optional per-attribute bin-count overrides.
-    max_direct_ordinal:
-        Ordinal attributes with at most this many distinct values are
-        used directly (label per integer value) rather than binned —
-        ``Year`` with a handful of model years reads better as
-        ``2011-2012`` pairs than as wide bins.
+        Number of bins for numeric attributes.
+
+    Ordinal attributes with at most :data:`MAX_DIRECT_ORDINAL` distinct
+    values are paired up rather than binned.
     """
 
-    def __init__(
-        self,
-        strategy: str = "width",
-        nbins: int = 6,
-        nbins_overrides: Optional[Mapping[str, int]] = None,
-        max_direct_ordinal: int = 12,
-    ):
+    def __init__(self, strategy: str = "width", nbins: int = 6):
         if strategy not in _STRATEGIES:
             raise QueryError(
                 f"unknown strategy {strategy!r}; choose from {sorted(_STRATEGIES)}"
             )
         self.strategy = strategy
         self.nbins = nbins
-        self.nbins_overrides = dict(nbins_overrides or {})
-        self.max_direct_ordinal = max_direct_ordinal
-
-    def _nbins_for(self, name: str) -> int:
-        return self.nbins_overrides.get(name, self.nbins)
 
     def fit(
         self, table: Table, names: Optional[Sequence[str]] = None
@@ -245,13 +236,13 @@ class Discretizer:
             distinct = np.unique(finite)
             is_small_ordinal = (
                 attr.kind.name == "ORDINAL"
-                and len(distinct) <= self.max_direct_ordinal
+                and len(distinct) <= MAX_DIRECT_ORDINAL
             )
             if is_small_ordinal or len(distinct) <= 2:
                 # pair up consecutive ordinals: Year -> 2011-2012, 2009-2010
                 blist = _ordinal_pair_bins(distinct)
             else:
-                blist = make_bins(finite, self._nbins_for(name))
+                blist = make_bins(finite, self.nbins)
             codes[name] = bin_indices(nums, blist)
             labels[name] = tuple(b.label for b in blist)
             bins[name] = tuple(blist)

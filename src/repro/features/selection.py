@@ -42,6 +42,10 @@ __all__ = [
     "select_compare_attributes",
 ]
 
+# The significance gate an auto-selected Compare Attribute's relevance
+# must clear (p-value at most this).
+RELEVANCE_ALPHA = 0.05
+
 
 @dataclass(frozen=True)
 class FeatureScore:
@@ -179,7 +183,6 @@ def select_compare_attributes(
     pivot: str,
     pinned: Sequence[str] = (),
     limit: int = 5,
-    alpha: float = 0.05,
     selector: Optional[FeatureSelector] = None,
     exclude: Sequence[str] = (),
     checkpoint: Optional[Callable[[], None]] = None,
@@ -190,8 +193,9 @@ def select_compare_attributes(
     The user's explicitly SELECTed attributes (``pinned``, the N of the
     query model) come first, in the user's order; the remaining
     ``limit - len(pinned)`` slots are filled by the selector's ranking,
-    skipping attributes whose relevance misses the ``alpha`` gate
-    ("all Pivot Attribute may not have c informative facets").
+    skipping attributes whose relevance misses the
+    :data:`RELEVANCE_ALPHA` gate ("all Pivot Attribute may not have c
+    informative facets").
     """
     if limit < 1:
         raise QueryError(f"limit must be >= 1, got {limit}")
@@ -208,6 +212,6 @@ def select_compare_attributes(
         for fs in selector.rank(view, pivot, candidates, checkpoint, tracer):
             if len(chosen) >= limit:
                 break
-            if fs.relevant(alpha):
+            if fs.relevant(RELEVANCE_ALPHA):
                 chosen.append(fs.attribute)
     return chosen

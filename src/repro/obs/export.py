@@ -4,7 +4,9 @@ Three consumers of the same :class:`~repro.obs.tracer.Span` tree:
 
 * :func:`to_chrome_trace` / :func:`write_chrome_trace` — Chrome
   trace-event JSON (the ``traceEvents`` array format), loadable in
-  ``chrome://tracing`` or https://ui.perfetto.dev;
+  ``chrome://tracing`` or https://ui.perfetto.dev, flattened from the
+  tree's wire form by :func:`wire_to_chrome_events`, as the stitched
+  ``--procs`` trace is;
 * :func:`render_trace` — the plain-text tree printed by
   ``EXPLAIN ANALYZE`` (times, rows, counters, and robustness events
   inline);
@@ -19,9 +21,10 @@ from typing import Dict, List, Optional
 
 from repro.obs.atomic import atomic_write_text
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.tracer import Span
+from repro.obs.tracer import Span, span_to_wire
 
 __all__ = [
+    "wire_to_chrome_events",
     "to_chrome_trace",
     "write_chrome_trace",
     "render_trace",
@@ -29,53 +32,77 @@ __all__ = [
 ]
 
 
-def _event_args(span: Span) -> Dict[str, object]:
+def wire_to_chrome_events(
+    tree: Dict[str, object],
+    origin: float,
+    pid: int,
+    tid: int,
+    out: List[Dict[str, object]],
+) -> None:
+    """Flatten one wire-form span tree into Chrome trace events.
+
+    ``tree`` is :func:`~repro.obs.tracer.span_to_wire` output; events
+    land in ``out`` with timestamps in microseconds from ``origin`` (on
+    the tree's own clock).  The one flattener of both exporters:
+    :func:`to_chrome_trace` and the stitched ``--procs`` trace
+    (:func:`~repro.obs.hub.to_stitched_chrome_trace`).
+    """
+    start = float(tree.get("start_ts") or origin)
+    end = float(tree.get("end_ts") or start)
     args: Dict[str, object] = {}
-    if span.bucket:
-        args["bucket"] = span.bucket
-    args.update({str(k): v for k, v in span.attrs.items()})
-    args.update({str(k): v for k, v in span.counters.items()})
-    if span.error:
-        args["error"] = span.error
-    return args
+    bucket = tree.get("bucket")
+    if bucket:
+        args["bucket"] = bucket
+    attrs = tree.get("attrs")
+    if isinstance(attrs, dict):
+        args.update(attrs)
+    counters = tree.get("counters")
+    if isinstance(counters, dict):
+        args.update(counters)
+    if tree.get("error"):
+        args["error"] = tree["error"]
+    out.append({
+        "name": str(tree.get("name") or "span"),
+        "cat": str(bucket or "span"),
+        "ph": "X",
+        "ts": round(max(0.0, start - origin) * 1e6, 3),
+        "dur": round(max(0.0, end - start) * 1e6, 3),
+        "pid": pid,
+        "tid": tid,
+        "args": args,
+    })
+    for event in tree.get("events") or []:
+        if not isinstance(event, dict):
+            continue
+        out.append({
+            "name": f"{event.get('kind')}: {event.get('message')}",
+            "cat": str(event.get("kind") or "note"),
+            "ph": "i",
+            "ts": round(
+                max(0.0, float(event.get("ts") or start) - origin) * 1e6, 3
+            ),
+            "pid": pid,
+            "tid": tid,
+            "s": "t",  # thread-scoped instant
+        })
+    for child in tree.get("children") or []:
+        if isinstance(child, dict):
+            wire_to_chrome_events(child, origin, pid, tid, out)
 
 
-def to_chrome_trace(
-    root: Span, pid: int = 1, tid: int = 1
-) -> Dict[str, object]:
+def to_chrome_trace(root: Span) -> Dict[str, object]:
     """The span tree as a Chrome trace-event JSON object.
 
     Spans become complete (``"ph": "X"``) events; span events become
-    instant (``"ph": "i"``) events.  Timestamps are microseconds
-    relative to the root's start, so traces from different runs line up
-    at zero when loaded side by side.
+    instant (``"ph": "i"``) events, all on pid 1, tid 1.  Timestamps
+    are microseconds relative to the root's start, so traces from
+    different runs line up at zero when loaded side by side.  A span
+    still open is drawn up to now.
     """
-    origin = root.start_s
     events: List[Dict[str, object]] = []
-    for span in root.walk():
-        end = span.end_s if span.end_s is not None else (
-            origin + span.duration_s
-        )
-        events.append({
-            "name": span.name,
-            "cat": span.bucket or "span",
-            "ph": "X",
-            "ts": round((span.start_s - origin) * 1e6, 3),
-            "dur": round((end - span.start_s) * 1e6, 3),
-            "pid": pid,
-            "tid": tid,
-            "args": _event_args(span),
-        })
-        for ev in span.events:
-            events.append({
-                "name": f"{ev.kind}: {ev.message}",
-                "cat": ev.kind,
-                "ph": "i",
-                "ts": round((ev.t_s - origin) * 1e6, 3),
-                "pid": pid,
-                "tid": tid,
-                "s": "t",  # thread-scoped instant
-            })
+    wire_to_chrome_events(
+        span_to_wire(root, anchor=0.0), root.start_s, 1, 1, events
+    )
     return {"traceEvents": events, "displayTimeUnit": "ms"}
 
 

@@ -29,7 +29,9 @@ trace ``--trace`` writes under ``--procs``: supervisor spans keyed by
 the supervisor pid, worker spans keyed by each worker's real pid, all
 on one epoch-anchored timeline, linked by ``request_id`` (a worker's
 ``worker.request`` root carries the same id as the supervisor's
-``serve.request`` span that dispatched it).
+``serve.request`` span that dispatched it).  Every tree, the
+supervisor's own included, is flattened from its wire form by
+:func:`~repro.obs.export.wire_to_chrome_events`.
 """
 
 from __future__ import annotations
@@ -40,8 +42,9 @@ import threading
 from typing import Dict, List, Optional, Tuple
 
 from repro.obs.atomic import atomic_write_text
+from repro.obs.export import wire_to_chrome_events
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.tracer import Span, epoch_anchor
+from repro.obs.tracer import Span, epoch_anchor, span_to_wire
 
 __all__ = [
     "TelemetryHub",
@@ -246,100 +249,6 @@ def _relabel(
 # -- stitched Chrome trace export ------------------------------------------
 
 
-def _wire_events(
-    tree: Dict[str, object],
-    origin: float,
-    pid: int,
-    tid: int,
-    out: List[Dict[str, object]],
-) -> None:
-    """Flatten one wire-form span tree into Chrome trace events."""
-    start = float(tree.get("start_ts") or origin)
-    end = float(tree.get("end_ts") or start)
-    args: Dict[str, object] = {}
-    bucket = tree.get("bucket")
-    if bucket:
-        args["bucket"] = bucket
-    attrs = tree.get("attrs")
-    if isinstance(attrs, dict):
-        args.update(attrs)
-    counters = tree.get("counters")
-    if isinstance(counters, dict):
-        args.update(counters)
-    if tree.get("error"):
-        args["error"] = tree["error"]
-    out.append({
-        "name": str(tree.get("name") or "span"),
-        "cat": str(bucket or "span"),
-        "ph": "X",
-        "ts": round(max(0.0, start - origin) * 1e6, 3),
-        "dur": round(max(0.0, end - start) * 1e6, 3),
-        "pid": pid,
-        "tid": tid,
-        "args": args,
-    })
-    for event in tree.get("events") or []:
-        if not isinstance(event, dict):
-            continue
-        out.append({
-            "name": f"{event.get('kind')}: {event.get('message')}",
-            "cat": str(event.get("kind") or "note"),
-            "ph": "i",
-            "ts": round(
-                max(0.0, float(event.get("ts") or start) - origin) * 1e6, 3
-            ),
-            "pid": pid,
-            "tid": tid,
-            "s": "t",
-        })
-    for child in tree.get("children") or []:
-        if isinstance(child, dict):
-            _wire_events(child, origin, pid, tid, out)
-
-
-def _span_events(
-    span: Span,
-    anchor: float,
-    origin: float,
-    pid: int,
-    tid: int,
-    out: List[Dict[str, object]],
-) -> None:
-    """Flatten a live supervisor span tree onto the epoch timeline."""
-    end = span.end_s if span.end_s is not None else (
-        span.start_s + span.duration_s
-    )
-    args: Dict[str, object] = {}
-    if span.bucket:
-        args["bucket"] = span.bucket
-    args.update({str(k): v for k, v in span.attrs.items()})
-    args.update({str(k): v for k, v in span.counters.items()})
-    if span.error:
-        args["error"] = span.error
-    out.append({
-        "name": span.name,
-        "cat": span.bucket or "span",
-        "ph": "X",
-        "ts": round(max(0.0, anchor + span.start_s - origin) * 1e6, 3),
-        "dur": round(max(0.0, end - span.start_s) * 1e6, 3),
-        "pid": pid,
-        "tid": tid,
-        "args": args,
-    })
-    for ev in span.events:
-        out.append({
-            "name": f"{ev.kind}: {ev.message}",
-            "cat": ev.kind,
-            "ph": "i",
-            "ts": round(max(0.0, anchor + ev.t_s - origin) * 1e6, 3),
-            "pid": pid,
-            "tid": tid,
-            "s": "t",
-        })
-    for child in span.children:
-        _span_events(child, anchor, origin, pid, tid, out)
-
-
 def _tree_min_ts(tree: Dict[str, object]) -> float:
     start = float(tree.get("start_ts") or float("inf"))
     for child in tree.get("children") or []:
@@ -385,7 +294,9 @@ def to_stitched_chrome_trace(
         "args": {"name": f"supervisor (pid {supervisor_pid})"},
     }]
     if root is not None:
-        _span_events(root, anchor, origin, supervisor_pid, 0, events)
+        wire_to_chrome_events(
+            span_to_wire(root, anchor), origin, supervisor_pid, 0, events
+        )
     named_pids = {supervisor_pid}
     for entry in trees:
         tree = entry.get("tree")
@@ -412,7 +323,7 @@ def to_stitched_chrome_trace(
                     ),
                 },
             })
-        _wire_events(tree, origin, pid, 0, events)
+        wire_to_chrome_events(tree, origin, pid, 0, events)
     return {"traceEvents": events, "displayTimeUnit": "ms"}
 
 

@@ -76,6 +76,7 @@ from repro.errors import (
 
 __all__ = [
     "WORKLOG_VERSION",
+    "STATEMENT_FIELDS",
     "WorkLogWriter",
     "NullWorkLogWriter",
     "NO_WORKLOG",
@@ -86,6 +87,15 @@ __all__ = [
 ]
 
 WORKLOG_VERSION = 1
+
+#: The statement-record fields one execution determines, as
+#: :func:`~repro.core.explorer.statement_fields` builds them.  Both
+#: serving transports log exactly these: a ``--procs`` worker ships
+#: them in its response and the supervisor copies them into the record.
+STATEMENT_FIELDS = (
+    "rows_in", "rows_out", "pivot", "phases_ms", "degradations",
+    "analysis_warnings", "error", "work",
+)
 
 # AST class name -> the stable statement_kind written to the log.
 _KIND_BY_CLASS = {

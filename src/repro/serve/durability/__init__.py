@@ -10,7 +10,7 @@ This package closes that hole with a classic three-piece design:
 
 * :mod:`~repro.serve.durability.records` — the on-disk record format:
   length-prefixed, CRC32-checksummed frames, one per catalog mutation.
-* :mod:`~repro.serve.durability.wal` — :class:`WalWriter`: group-commit
+* :mod:`~repro.serve.durability.wal` — :class:`WalWriter`: inline
   append + fsync *before* a mutation's response is released, segment
   rotation, and periodic snapshot compaction (atomic tmp+fsync+replace
   of a full catalog image, then truncation of superseded segments).

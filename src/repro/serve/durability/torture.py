@@ -29,14 +29,13 @@ Each torture iteration:
 The four crash sites cover the interesting windows:
 
 ``wal.pre_fsync``
-    Before the batch is durable.  The harness additionally writes a
-    *torn prefix* of the batch's first record before dying, so recovery
-    must truncate a half-written tail.  Nothing was acked; nothing may
-    survive.
+    Before the record is durable.  The writer additionally writes a
+    *torn prefix* of the record before dying, so recovery must truncate
+    a half-written tail.  Nothing was acked; nothing may survive.
 ``wal.post_fsync_pre_ack``
-    After fsync, after the ack-log line, before the in-process waiter
-    is released.  The mutation is durable and (per the ack log) was
-    promised; it must survive.
+    After fsync, after the ack-log line, before the commit returns.
+    The mutation is durable and (per the ack log) was promised; it
+    must survive.
 ``wal.segment_rotate``
     Just after a new segment was opened.  Recovery must stitch records
     across the segment boundary and tolerate an empty newest segment.
@@ -239,7 +238,6 @@ def _launch(
         sys.executable, "-m", "repro", "serve", workload,
         "--stress", "--procs", str(procs), "--rows", str(rows),
         "--state-dir", state_dir,
-        "--fsync-interval-ms", "0",      # batch-of-1: seq == crash pivot
         "--wal-segment-bytes", "1",      # rotate on every second record
         "--wal-snapshot-every", "2",     # compact on every second record
         "--drain-grace-ms", "2000",
@@ -325,12 +323,10 @@ def _check_iteration(
             f"recovered only through {rec.last_seq}"
         )
         return context
-    if rec.last_seq > acked_last and site != "wal.post_fsync_pre_ack":
-        # post_fsync_pre_ack can die between the ack-log fsync and the
-        # fault consultation of a *later* record in the same batch;
-        # with --fsync-interval-ms 0 batches are singletons, so any
-        # other site recovering *more* than was promised means an
-        # unacked record was resurrected.
+    if rec.last_seq > acked_last:
+        # every commit writes its ack-log line before any crash point
+        # after its fsync can fire, so recovering *more* than was
+        # promised means an unacked record was resurrected
         context["problem"] = (
             f"RESURRECTED UNACKED MUTATIONS: acked through seq "
             f"{acked_last}, recovered through {rec.last_seq}"

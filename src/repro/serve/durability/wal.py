@@ -1,20 +1,11 @@
-"""The write-ahead log: group commit, segment rotation, compaction.
+"""The write-ahead log: inline commit, segment rotation, compaction.
 
 :class:`WalWriter` is the durability half of the catalog contract: a
 catalog-mutating statement's response is *released to the client only
-after* its WAL record is fsync'd.  :meth:`commit` blocks until that
-has happened and returns the record's global sequence number.
-
-Two commit modes share one flush path:
-
-* ``fsync_interval_ms == 0`` (the default) — every commit appends and
-  fsyncs inline: one mutation, one fsync, maximal determinism.
-* ``fsync_interval_ms > 0`` — **group commit**: commits queue their
-  records and block on an event; a flusher thread wakes every
-  interval, writes the whole pending batch, issues *one* fsync, and
-  releases every waiter at once.  Catalog mutations are rare relative
-  to reads, but a burst (a session replay, a migration script) pays
-  one disk flush per interval instead of one per statement.
+after* its WAL record is fsync'd.  :meth:`commit` appends the record,
+fsyncs it and returns its global sequence number before the caller
+acks: one mutation, one fsync, and concurrent commits take turns on
+the writer's lock.
 
 The log is a sequence of *segments* (``wal-<n>.log``); when the active
 segment passes ``segment_max_bytes`` it is sealed (flushed, fsync'd,
@@ -35,18 +26,17 @@ the property under test is whole-supervisor death, not a tidy
 exception):
 
 ``wal.pre_fsync``
-    Before the batch is written.  The injected death first writes a
-    *torn prefix* of the batch's first record — simulating the kernel
-    having pushed half a ``write`` to disk — so recovery must truncate
-    a checksum-failing tail, and the whole unacknowledged batch must
-    vanish.
+    Before the record is written.  The injected death first writes a
+    *torn prefix* of the record — simulating the kernel having pushed
+    half a ``write`` to disk — so recovery must truncate a
+    checksum-failing tail, and the unacknowledged record must vanish.
 ``wal.post_fsync_pre_ack``
     After fsync (and after the torture ack-log append — see below),
-    before waiters are released.  The batch is durable but no client
+    before :meth:`commit` returns.  The record is durable but no client
     saw an acknowledgment: recovery must resurrect it, byte-identical.
 ``wal.segment_rotate``
     After the old segment is sealed and the new one opened, before the
-    batch lands in it.  Recovery must stitch segments in order and
+    record lands in it.  Recovery must stitch segments in order and
     tolerate a trailing empty segment.
 ``wal.mid_compaction``
     Between the snapshot temp file's fsync and its ``os.replace``.
@@ -73,7 +63,7 @@ import json
 import os
 import signal
 import threading
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, Optional
 
 from repro.errors import DurabilityError
 from repro.obs.metrics import MetricsRegistry, registry
@@ -107,30 +97,6 @@ def _fsync_dir(path: str) -> None:
         os.close(fd)
 
 
-class _Pending:
-    """One committed-but-not-yet-durable record awaiting its fsync."""
-
-    __slots__ = ("seq", "shard", "sql", "session", "data", "event",
-                 "error", "on_durable")
-
-    def __init__(
-        self,
-        seq: int,
-        shard: int,
-        sql: str,
-        session: str,
-        on_durable: Optional[Callable[[], None]] = None,
-    ):
-        self.seq = seq
-        self.shard = shard
-        self.sql = sql
-        self.session = session
-        self.data = encode_record(seq, shard, sql, session)
-        self.event = threading.Event()
-        self.error: Optional[BaseException] = None
-        self.on_durable = on_durable
-
-
 class WalWriter:
     """Appends checksummed records; blocks acks until they are durable.
 
@@ -151,17 +117,12 @@ class WalWriter:
         *,
         start_seq: int = 0,
         start_ordinal: int = 0,
-        fsync_interval_ms: float = 0.0,
         segment_max_bytes: int = 1 << 20,
         snapshot_every: int = 64,
         snapshot_cb: Optional[Callable[[], Dict[str, object]]] = None,
         faults: Optional[FaultInjector] = None,
         metrics: Optional[MetricsRegistry] = None,
     ):
-        if fsync_interval_ms < 0:
-            raise ValueError(
-                f"fsync_interval_ms must be >= 0, got {fsync_interval_ms}"
-            )
         if segment_max_bytes < 1:
             raise ValueError(
                 f"segment_max_bytes must be >= 1, got {segment_max_bytes}"
@@ -171,7 +132,6 @@ class WalWriter:
                 f"snapshot_every must be >= 0, got {snapshot_every}"
             )
         self.state_dir = state_dir
-        self.fsync_interval_s = fsync_interval_ms / 1e3
         self.segment_max_bytes = segment_max_bytes
         self.snapshot_every = snapshot_every
         self._snapshot_cb = snapshot_cb
@@ -181,7 +141,6 @@ class WalWriter:
         self._last_seq = start_seq
         self._last_snapshot_seq = start_seq
         self._records_since_snapshot = 0
-        self._pending: List[_Pending] = []
         self._closed = False
         os.makedirs(state_dir, exist_ok=True)
         self._ordinal = start_ordinal
@@ -194,14 +153,6 @@ class WalWriter:
                     0o644)
             if ack_path else None
         )
-        self._flusher: Optional[threading.Thread] = None
-        self._wake = threading.Event()
-        if self.fsync_interval_s > 0:
-            self._flusher = threading.Thread(
-                target=self._flush_loop, name="repro-wal-flusher",
-                daemon=True,
-            )
-            self._flusher.start()
 
     # -- the commit path ---------------------------------------------------
 
@@ -212,11 +163,11 @@ class WalWriter:
         session: str,
         on_durable: Optional[Callable[[], None]] = None,
     ) -> int:
-        """Append one mutation and block until it is fsync-durable.
+        """Append one mutation, fsync it, and return its sequence number.
 
-        Returns the record's sequence number.  Raises
-        :class:`~repro.errors.DurabilityError` if the append or fsync
-        failed — in which case the caller must not release an ack.
+        Raises :class:`~repro.errors.DurabilityError` if the append or
+        fsync failed — in which case the caller must not release an ack.
+        Concurrent commits serialize on the WAL lock, one fsync each.
 
         ``on_durable`` (when given) runs under the WAL lock right after
         the record's fsync and *before* any snapshot compaction this
@@ -229,86 +180,43 @@ class WalWriter:
         with self._lock:
             if self._closed:
                 raise DurabilityError("WAL is closed")
-            entry = _Pending(
-                self._last_seq + 1, shard, sql, session,
-                on_durable=on_durable,
-            )
-            self._last_seq = entry.seq
-            if self.fsync_interval_s <= 0:
-                self._flush_locked([entry])
-                return entry.seq
-            self._pending.append(entry)
-        self._wake.set()
-        entry.event.wait()
-        if entry.error is not None:
-            raise DurabilityError(
-                f"WAL append failed for seq {entry.seq}: {entry.error}"
-            ) from entry.error
-        return entry.seq
-
-    def _flush_loop(self) -> None:
-        while True:
-            self._wake.wait(timeout=self.fsync_interval_s)
-            self._wake.clear()
-            with self._lock:
-                batch = self._pending
-                self._pending = []
-                closed = self._closed
-                if batch:
-                    try:
-                        self._flush_locked(batch)
-                    # a failed flush is recorded on every waiter (each
-                    # re-raises DurabilityError from commit()); the
-                    # flusher survives so later commits fail loudly
-                    # too instead of hanging
-                    # repro-lint: ignore[RL004]
-                    except Exception as exc:
-                        for entry in batch:
-                            entry.error = exc
-                            entry.event.set()
-            if closed:
-                return
-
-    def _flush_locked(self, batch: List[_Pending]) -> None:
-        """Write + fsync one batch; call with ``self._lock`` held."""
-        if self._segment_bytes >= self.segment_max_bytes:
-            self._rotate_locked(batch[0].seq)
-        for entry in batch:
-            self._fire("wal.pre_fsync", entry.seq, torn_prefix_of=batch[0])
-        try:
-            for entry in batch:
-                self._fh.write(entry.data)
-                # repro-lint: ignore[RL007] — caller holds self._lock
-                self._segment_bytes += len(entry.data)
+            seq = self._last_seq + 1
+            self._last_seq = seq
+            data = encode_record(seq, shard, sql, session)
+            if self._segment_bytes >= self.segment_max_bytes:
+                self._rotate_locked(seq)
+            self._fire("wal.pre_fsync", seq, torn=data)
+            try:
+                self._fh.write(data)
+                self._segment_bytes += len(data)
                 self._metrics.counter("wal.appends").inc()
-            self._fh.flush()
-            os.fsync(self._fh.fileno())
-        except OSError as exc:
-            raise DurabilityError(f"WAL write failed: {exc}") from exc
-        self._metrics.counter("wal.fsyncs").inc()
-        self._metrics.counter("wal.batched_acks").inc(len(batch))
-        self._ack_log_locked(batch)
-        for entry in batch:
-            self._fire("wal.post_fsync_pre_ack", entry.seq)
-        for entry in batch:
-            # the durable hook runs before the waiter is released AND
-            # before the snapshot check below: whatever state the
-            # snapshot images has absorbed every record it claims
-            if entry.on_durable is not None:
-                entry.on_durable()
-        for entry in batch:
-            entry.event.set()
-        # repro-lint: ignore[RL007] — caller holds self._lock
-        self._records_since_snapshot += len(batch)
-        if (
-            self.snapshot_every
-            and self._snapshot_cb is not None
-            and self._records_since_snapshot >= self.snapshot_every
-        ):
-            self._snapshot_locked()
+                self._fh.flush()
+                os.fsync(self._fh.fileno())
+            except OSError as exc:
+                raise DurabilityError(f"WAL write failed: {exc}") from exc
+            self._metrics.counter("wal.fsyncs").inc()
+            # one ack per fsync; perfbench reads acks/fsync off the pair
+            self._metrics.counter("wal.batched_acks").inc()
+            self._ack_log_locked(seq, shard, sql, session)
+            self._fire("wal.post_fsync_pre_ack", seq)
+            # the durable hook runs before the ack AND before the
+            # snapshot check below: whatever state the snapshot images
+            # has absorbed every record it claims
+            if on_durable is not None:
+                on_durable()
+            self._records_since_snapshot += 1
+            if (
+                self.snapshot_every
+                and self._snapshot_cb is not None
+                and self._records_since_snapshot >= self.snapshot_every
+            ):
+                self._snapshot_locked()
+            return seq
 
-    def _ack_log_locked(self, batch: List[_Pending]) -> None:
-        """Durably record the batch as *acknowledged* (torture only).
+    def _ack_log_locked(
+        self, seq: int, shard: int, sql: str, session: str
+    ) -> None:
+        """Durably record one commit as *acknowledged* (torture only).
 
         Written after the WAL fsync and before
         ``wal.post_fsync_pre_ack`` can fire, so the ack log and the
@@ -317,15 +225,11 @@ class WalWriter:
         """
         if self._ack_fd is None:
             return
-        lines = "".join(
-            json.dumps(
-                {"seq": e.seq, "shard": e.shard, "sql": e.sql,
-                 "session": e.session},
-                sort_keys=True,
-            ) + "\n"
-            for e in batch
-        )
-        os.write(self._ack_fd, lines.encode("utf-8"))
+        line = json.dumps(
+            {"seq": seq, "shard": shard, "sql": sql, "session": session},
+            sort_keys=True,
+        ) + "\n"
+        os.write(self._ack_fd, line.encode("utf-8"))
         os.fsync(self._ack_fd)
 
     # -- rotation and compaction -------------------------------------------
@@ -422,7 +326,7 @@ class WalWriter:
         self,
         site: str,
         seq: int,
-        torn_prefix_of: Optional[_Pending] = None,
+        torn: Optional[bytes] = None,
     ) -> None:
         """Consult one ``wal.*`` fault site; a planned fault is death.
 
@@ -430,8 +334,8 @@ class WalWriter:
         harness's whole-supervisor SIGKILL — so any planned error here
         becomes ``SIGKILL`` to our own pid: no handlers, no cleanup,
         no flushes, exactly like ``kill -9`` from outside.  For
-        ``wal.pre_fsync``, a torn prefix of the batch's first record
-        is written (and pushed to the OS) first, simulating the
+        ``wal.pre_fsync``, a torn prefix of the record (``torn``) is
+        written (and pushed to the OS) first, simulating the
         half-a-``write`` the page cache would have kept from a real
         mid-append crash.
         """
@@ -444,11 +348,9 @@ class WalWriter:
         # ends, so nothing is swallowed)
         # repro-lint: ignore[RL004]
         except Exception:
-            if torn_prefix_of is not None:
+            if torn is not None:
                 try:
-                    self._fh.write(
-                        torn_prefix_of.data[:len(torn_prefix_of.data) // 2]
-                    )
+                    self._fh.write(torn[:len(torn) // 2])
                     self._fh.flush()
                 except OSError:
                     pass  # dying anyway; the torn write is best-effort
@@ -457,22 +359,11 @@ class WalWriter:
     # -- lifecycle / introspection -----------------------------------------
 
     def close(self, final_snapshot: bool = True) -> None:
-        """Flush everything, optionally snapshot, seal the segment."""
+        """Optionally snapshot, then seal the segment (idempotent)."""
         with self._lock:
             if self._closed:
                 return
             self._closed = True
-            batch = self._pending
-            self._pending = []
-            if batch:
-                try:
-                    self._flush_locked(batch)
-                # record-and-release on every waiter; see _flush_loop
-                # repro-lint: ignore[RL004]
-                except Exception as exc:
-                    for entry in batch:
-                        entry.error = exc
-                        entry.event.set()
             if (
                 final_snapshot
                 and self._snapshot_cb is not None
@@ -483,12 +374,6 @@ class WalWriter:
             if self._ack_fd is not None:
                 os.close(self._ack_fd)
                 self._ack_fd = None
-        self._wake.set()
-        if (
-            self._flusher is not None
-            and self._flusher is not threading.current_thread()
-        ):
-            self._flusher.join(timeout=2.0)
 
     @property
     def last_seq(self) -> int:
@@ -505,7 +390,6 @@ class WalWriter:
                 "segment_bytes": self._segment_bytes,
                 "snapshot_seq": self._last_snapshot_seq,
                 "records_since_snapshot": self._records_since_snapshot,
-                "fsync_interval_ms": self.fsync_interval_s * 1e3,
             }
 
 

@@ -88,6 +88,7 @@ from repro.obs.metrics import MetricsRegistry, hist_quantile, registry
 from repro.obs.tracer import Span, Tracer
 from repro.obs.worklog import (
     NO_WORKLOG,
+    STATEMENT_FIELDS,
     WorkLogWriter,
     statement_kind,
     statement_status,
@@ -229,11 +230,6 @@ class ProcServeConfig:
         behavior.  When set, startup *recovers* the directory first and
         every catalog mutation is fsync'd before its response is
         released.
-    fsync_interval_ms:
-        Group-commit window: mutations acknowledged within the same
-        window share one fsync.  ``0`` fsyncs inline per mutation
-        (slowest, simplest to reason about; the torture harness uses it
-        so batch == record).
     wal_segment_max_bytes / wal_snapshot_every:
         Segment rotation threshold and how many records may accumulate
         before a snapshot.
@@ -251,7 +247,6 @@ class ProcServeConfig:
     breaker: Optional[BreakerConfig] = field(default_factory=BreakerConfig)
     drain_grace_s: float = 5.0
     state_dir: Optional[str] = None
-    fsync_interval_ms: float = 0.0
     wal_segment_max_bytes: int = 1 << 20
     wal_snapshot_every: int = 64
 
@@ -278,11 +273,6 @@ class ProcServeConfig:
             raise ValueError(
                 f"monitor_interval_s must be > 0, "
                 f"got {self.monitor_interval_s}"
-            )
-        if self.fsync_interval_ms < 0:
-            raise ValueError(
-                f"fsync_interval_ms must be >= 0, "
-                f"got {self.fsync_interval_ms}"
             )
         if self.wal_segment_max_bytes < 1 or self.wal_snapshot_every < 1:
             raise ValueError(
@@ -514,7 +504,6 @@ class ProcSupervisor:
             state_dir,
             start_seq=start_seq,
             start_ordinal=start_ordinal,
-            fsync_interval_ms=self.config.fsync_interval_ms,
             segment_max_bytes=self.config.wal_segment_max_bytes,
             snapshot_every=self.config.wal_snapshot_every,
             snapshot_cb=self._wal_snapshot_image,
@@ -1262,25 +1251,26 @@ class ProcSupervisor:
         # (the unrouted leg is parse errors/rejections, in submit())
         primary_req = state.requests[state.primary_part]
         self._metrics.counter(f"proc.s{primary_req.shard}.completed").inc()
+        # the worker's statement fields, as the explorer logs them in
+        # thread mode, with the fields a multi-part ticket merges
+        record = {key: primary.get(key) for key in STATEMENT_FIELDS}
+        record.update(
+            rows_out=rows_out,
+            degradations=degradations,
+            work=ticket.work,
+            proc={
+                "shard": primary_req.shard,
+                "incarnation": primary_req.incarnation,
+                "proc_attempts": ticket.proc_attempts,
+                "cause": primary.get("proc_cause"),
+            },
+        )
         ticket.finish(
             outcome, status, self._metrics, self._worklog,
             result=explain_text if isinstance(explain_text, str) else None,
             error=error,
             elapsed_ms=elapsed_ms,
-            record={
-                "rows_out": rows_out,
-                "pivot": primary.get("pivot"),
-                "phases_ms": primary.get("phases_ms"),
-                "degradations": degradations,
-                "error": primary.get("error"),
-                "work": ticket.work,
-                "proc": {
-                    "shard": primary_req.shard,
-                    "incarnation": primary_req.incarnation,
-                    "proc_attempts": ticket.proc_attempts,
-                    "cause": primary.get("proc_cause"),
-                },
-            },
+            record=record,
         )
 
     def _merge_payload(

@@ -465,12 +465,14 @@ class _Worker:
         """One statement through the thread executor's retry loop.
 
         The statement is parsed once: the prepared statement both runs
-        and names the reply's ``kind`` and ``pivot``.
+        and names the reply's ``kind``.  The reply carries the
+        statement's workload-log fields
+        (:func:`~repro.core.explorer.statement_fields`), which the
+        supervisor logs as the explorer would have.
         """
         # lazy import: keeps worker import time (spawn latency) down and
         # avoids a module cycle through repro.serve.stress
-        from repro.core.explorer import _result_rows
-        from repro.query.ast import CreateCadViewStatement
+        from repro.core.explorer import statement_fields
         from repro.serve.stress import result_payload
 
         start = time.perf_counter()
@@ -481,30 +483,13 @@ class _Worker:
             # the supervisor parsed it already, so this is not expected;
             # the text then fails in execution as it would in process
             statement, stmt = sql, None
+        sess = self.dbx.session(session)
         run = execute_with_retries(
-            self.dbx, self.dbx.session(session), statement, token,
-            injector, budget_override, self.spec.max_retries, fault_index,
-            time.sleep,
+            self.dbx, sess, statement, token, injector, budget_override,
+            self.spec.max_retries, fault_index, time.sleep,
         )
         elapsed_ms = (time.perf_counter() - start) * 1e3
         result, error, report = run.result, run.error, run.report
-        degradations = (
-            [str(d) for d in report.degradations]
-            if report is not None else []
-        )
-        degraded = (
-            error is None and report is not None and report.degraded
-        )
-        pivot = (
-            stmt.pivot if isinstance(stmt, CreateCadViewStatement) else None
-        )
-        phases_ms = None
-        if report is not None and report.profile is not None:
-            phases_ms = {
-                "compare_attrs": report.profile.compare_attrs_s * 1e3,
-                "iunits": report.profile.iunits_s * 1e3,
-                "others": report.profile.others_s * 1e3,
-            }
         status = statement_status(error)
         kind = statement_kind(stmt)
         # process-local metrics: shipped to the supervisor as part of
@@ -512,31 +497,28 @@ class _Worker:
         reg = registry()
         reg.histogram(f"worker.latency.{kind}").observe(elapsed_ms / 1e3)
         reg.counter(f"worker.statements.{status}").inc()
-        return {
+        # the session's analysis is this statement's only if an attempt
+        # reached dbx.execute; run.work is None otherwise
+        response = statement_fields(
+            stmt, result, error, report,
+            sess.last_analysis if run.executed else None, run.work,
+        )
+        response.update({
             "status": status,
-            "degraded": degraded,
-            "degradations": degradations,
+            "degraded": (
+                error is None and report is not None and report.degraded
+            ),
             "result_payload": result_payload(result),
-            "rows_out": _result_rows(result),
-            "pivot": pivot,
-            "phases_ms": phases_ms,
             # EXPLAIN renders worker-side (the plan/timings live here);
             # ship the text so the supervisor can return real phase
             # numbers instead of silently-zero parent-side timings
             "explain_text": result if isinstance(result, str) else None,
             "kind": kind,
-            "error": (
-                f"{type(error).__name__}: {error}"
-                if error is not None else None
-            ),
             "cancel_reason": token.reason,
             "attempts": run.attempts,
             "elapsed_ms": elapsed_ms,
-            # deterministic work counters of the final attempt (None
-            # when it never reached dbx.execute) — exact integers, so
-            # the supervisor can log/ship them verbatim
-            "work": run.work,
-        }
+        })
+        return response
 
 
 def worker_main(

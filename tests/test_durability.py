@@ -1,8 +1,8 @@
 """Unit tests for the durable catalog WAL (:mod:`repro.serve.durability`).
 
 Everything here runs in-process — the record codec, torn-tail
-handling, snapshot selection and fallback, journal compaction, group
-commit, and the writer/recovery round trip.  The whole-process kill -9
+handling, snapshot selection and fallback, journal compaction,
+concurrent commits, and the writer/recovery round trip.  The whole-process kill -9
 proof lives in ``tests/test_torture.py``.
 """
 
@@ -16,6 +16,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.errors import DurabilityError, RecoveryError
+from repro.obs.metrics import MetricsRegistry
 from repro.query.ast import (
     CreateCadViewStatement,
     DropCadViewStatement,
@@ -302,8 +303,9 @@ class TestWalWriter:
         assert rec.snapshot_seq == 1
         assert rec.journals[0] == [(CREATE_A, "s")]
 
-    def test_group_commit_batches_fsyncs(self, tmp_path):
-        w = WalWriter(str(tmp_path), fsync_interval_ms=20.0)
+    def test_concurrent_commits_fsync_one_record_each(self, tmp_path):
+        metrics = MetricsRegistry()
+        w = WalWriter(str(tmp_path), metrics=metrics)
         threads = [
             threading.Thread(target=w.commit, args=(0, DROP_A, f"s{i}"))
             for i in range(8)
@@ -315,6 +317,8 @@ class TestWalWriter:
         stats = w.stats()
         w.close(final_snapshot=False)
         assert stats["last_seq"] == 8
+        assert metrics.counter("wal.fsyncs").value == 8
+        assert metrics.counter("wal.batched_acks").value == 8
         rec = recover_state(str(tmp_path))
         assert rec.last_seq == 8
         assert sorted(s for _, s in rec.journals[0]) == \

@@ -186,7 +186,7 @@ class TestSelectCompareAttributes:
         pred = parse_predicate("BodyType = SUV")
         r = QueryEngine.select(cars, pred)
         view = Discretizer(nbins=6).fit(r)
-        chosen = select_compare_attributes(view, "Make", limit=10, alpha=0.01)
+        chosen = select_compare_attributes(view, "Make", limit=10)
         # BodyType is constant in R: zero contrast, never selected
         assert "BodyType" not in chosen
 

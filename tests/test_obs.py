@@ -145,6 +145,21 @@ class TestExport:
         assert phase["args"]["rows"] == 5
         assert phase["args"]["clusters"] == 2
 
+    def test_open_child_span_runs_to_now(self):
+        """A child opened 20 ms after its root and still open is drawn
+        for as long as it has run, not from the root's start."""
+        tracer = Tracer("root")
+        tracer.root.start_s -= 0.025
+        with tracer.span("child") as child:
+            child.start_s = tracer.root.start_s + 0.020
+            so_far = child.duration_s
+            doc = to_chrome_trace(tracer.root)
+        event = next(
+            e for e in doc["traceEvents"] if e["name"] == "child"
+        )
+        assert event["ts"] == pytest.approx(20_000, abs=1.0)
+        assert event["dur"] >= round(so_far * 1e6, 3) > 0
+
     def test_write_chrome_trace_is_valid_json(self, tmp_path):
         path = tmp_path / "trace.json"
         write_chrome_trace(self.make_trace(), str(path))

@@ -6,8 +6,9 @@ share admission, the transient-retry loop and the outcome ledger of
 :mod:`repro.serve.executor`.  Every test here runs the same statements
 through both transports and expects the same observable result: the
 ``serve.statements.*`` / ``serve.outcome.*`` counters the SLO layer
-reads, the in-band retry count, and the rule that a statement which
-never reached ``dbx.execute`` carries no work counters.
+reads, the in-band retry count, the rule that a statement which
+never reached ``dbx.execute`` carries no work counters, and the
+workload-log record each statement leaves.
 """
 
 from __future__ import annotations
@@ -18,11 +19,17 @@ import pytest
 
 from repro.core import DBExplorer
 from repro.core.cadview import CADViewConfig
+from repro.core.explorer import statement_fields
 from repro.dataset.generators import generate_usedcars
 from repro.errors import OverloadedError
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.slo import evaluate_slos, parse_slos
-from repro.obs.worklog import NO_WORKLOG
+from repro.obs.worklog import (
+    NO_WORKLOG,
+    STATEMENT_FIELDS,
+    WorkLogWriter,
+    read_worklog,
+)
 from repro.robustness import FaultInjector
 from repro.robustness.faults import NO_FAULTS
 from repro.serve import ServeConfig, SessionExecutor
@@ -40,12 +47,13 @@ CREATE = (
 
 @contextmanager
 def serving(transport, metrics, faults_spec=None, state_dir=None, shards=1,
-            **retry):
+            worklog=NO_WORKLOG, **retry):
     """One transport over the same table, counting into ``metrics``.
 
     ``faults_spec`` is the transport's fault plan (forked per statement
     in both); ``retry`` overrides the transient-retry policy; ``shards``
-    sets the proc transport's worker count.
+    sets the proc transport's worker count; ``worklog`` receives the
+    statement records.
     """
     if transport == "thread":
         dbx = DBExplorer(
@@ -54,7 +62,7 @@ def serving(transport, metrics, faults_spec=None, state_dir=None, shards=1,
                 FaultInjector.parse(faults_spec) if faults_spec
                 else NO_FAULTS
             ),
-            worklog=NO_WORKLOG,
+            worklog=worklog,
         )
         dbx.register("data", generate_usedcars(ROWS, seed=7))
         config = ServeConfig(workers=1, breaker=None, **retry)
@@ -69,7 +77,9 @@ def serving(transport, metrics, faults_spec=None, state_dir=None, shards=1,
         shards=shards, breaker=None, state_dir=state_dir,
         heartbeat_interval_s=0.05, heartbeat_timeout_s=0.5,
     )
-    with ProcSupervisor(spec, config, metrics=metrics) as supervisor:
+    with ProcSupervisor(
+        spec, config, worklog=worklog, metrics=metrics
+    ) as supervisor:
         assert supervisor.wait_ready(60)
         yield supervisor
 
@@ -152,6 +162,52 @@ def test_never_executed_statement_carries_no_work(transport, tmp_path):
     assert ticket.outcome == "failed"
     assert ticket.attempts == 1
     assert ticket.work is None
+
+
+# a pivot with more than 30 distinct values draws the QA406 warning
+WIDE_CREATE = (
+    "CREATE CADVIEW m AS SET pivot = Model SELECT Price FROM data "
+    "LIMIT COLUMNS 3 IUNITS 2"
+)
+
+
+def test_worklog_records_match(tmp_path):
+    """Each statement leaves the same workload-log record under either
+    transport: input and output rows, pivot, phase names, degradations,
+    analyzer warnings, error and work.  Only the timings, the
+    writer's stamps and the proc provenance may differ."""
+    records = {}
+    for transport in TRANSPORTS:
+        path = str(tmp_path / f"{transport}.jsonl")
+        writer = WorkLogWriter(path)
+        with serving(transport, MetricsRegistry(), worklog=writer) as server:
+            for sql in (WIDE_CREATE, SELECT):
+                ticket = server.submit(sql, session="s")
+                assert ticket.wait(60) and ticket.outcome == "ok"
+        writer.close()
+        records[transport] = [
+            _comparable(record) for record in read_worklog(path)
+        ]
+    # the supervisor copies STATEMENT_FIELDS: they must be every field
+    # statement_fields builds
+    assert tuple(
+        statement_fields(None, None, None, None, None, None)
+    ) == STATEMENT_FIELDS
+    create, select = records["thread"]
+    assert isinstance(create["rows_in"], int)
+    assert any("QA406" in w for w in create["analysis_warnings"])
+    assert select["rows_out"] == 1
+    assert records["proc"] == records["thread"]
+
+
+def _comparable(record):
+    record = {
+        key: value for key, value in record.items()
+        if key not in ("seq", "ts", "t_rel_s", "elapsed_ms", "proc")
+    }
+    if record.get("phases_ms") is not None:
+        record["phases_ms"] = sorted(record["phases_ms"])
+    return record
 
 
 FAILING_CREATE = (

@@ -307,6 +307,25 @@ class TestExplorerCapture:
         assert record["status"] == "ok"
         assert any("QA401" in w for w in record["analysis_warnings"])
 
+    def test_parse_error_logs_no_earlier_warnings(self, tmp_path, cars):
+        """A statement that fails to parse was never analyzed: its
+        record carries no warning of the statement before it."""
+        path = str(tmp_path / "s.jsonl")
+        with WorkLogWriter(path) as worklog:
+            dbx = _explorer(cars, worklog)
+            dbx.execute(
+                "CREATE CADVIEW p AS SET pivot = Price SELECT Mileage"
+                " FROM data WHERE BodyType = SUV"
+                " LIMIT COLUMNS 3 IUNITS 2"
+            )
+            with pytest.raises(ParseError):
+                dbx.execute("FROBNICATE everything")
+        warned, unparsable = read_worklog(path)
+        assert any("QA401" in w for w in warned["analysis_warnings"])
+        assert unparsable["status"] == "parse_error"
+        assert unparsable["analysis_warnings"] == []
+        assert dbx.last_analysis is None
+
     def test_no_worklog_writes_nothing(self, tmp_path, cars):
         dbx = _explorer(cars, NO_WORKLOG)
         dbx.execute("SELECT Make FROM data LIMIT 1")
@@ -421,6 +440,27 @@ class TestWorklogValidator:
         lines = self._ok_lines() + ["not json\n"]
         problems = check.validate_worklog(self._write(tmp_path, lines))
         assert any("not JSON" in p for p in problems)
+
+    def test_ok_create_needs_integer_rows_in(self, tmp_path):
+        check = _load_check_trace()
+        lines = self._ok_lines()
+        create = dict(
+            lines[1], statement_kind="create_cadview", rows_in=None,
+            statement="CREATE CADVIEW v AS SET pivot = Make "
+                      "SELECT Price FROM data",
+        )
+        problems = check.validate_worklog(
+            self._write(tmp_path, [lines[0], create])
+        )
+        assert any("rows_in" in p for p in problems)
+        create["rows_in"] = 400
+        assert check.validate_worklog(
+            self._write(tmp_path, [lines[0], create])
+        ) == []
+        failed = dict(create, rows_in=None, status="build_failed")
+        assert check.validate_worklog(
+            self._write(tmp_path, [lines[0], failed])
+        ) == []
 
     def test_committed_session_log_validates(self):
         check = _load_check_trace()
